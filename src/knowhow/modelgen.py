@@ -147,8 +147,10 @@ def generate(cfg: GenConfig, count: Optional[int] = None) -> Iterator[Model]:
     """Stream models per ``cfg``; ``count`` caps the stream.
 
     Random mode requires an explicit ``count``; exhaustive mode emits the
-    whole space when ``count`` is None.
+    whole space when ``count`` is None.  A negative ``count`` is an error.
     """
+    if count is not None and count < 0:
+        raise ValueError(f"model count must be non-negative, got {count}")
     if cfg.mode == "random":
         if count is None:
             raise ValueError("random generation needs an explicit count")

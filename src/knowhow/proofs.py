@@ -53,7 +53,6 @@ from .syntax import (
     U,
     _guarded,
     atom_names,
-    children,
     normalize,
     parse_formula,
     substitute,
@@ -196,12 +195,18 @@ class TheoremEntry:
 
 
 def instantiate_axiom(name: str, binding: Mapping[str, Formula]) -> Formula:
-    """The named schema with its letters simultaneously replaced."""
+    """The named schema with its letters simultaneously replaced.
+
+    Raises ``KeyError`` for an unknown schema and ``ValueError`` when the
+    binding leaves out a letter of the schema or names one it does not use.
+    """
     schema = AXIOM_SCHEMAS[name]
     missing = _AXIOM_LETTERS[name] - set(binding)
+    if missing:
+        raise ValueError(f"binding for axiom {name} is missing letter {min(missing)!r}")
     extra = set(binding) - _AXIOM_LETTERS[name]
-    if missing or extra:
-        raise ValueError(f"bad binding for axiom {name}: missing={sorted(missing)} extra={sorted(extra)}")
+    if extra:
+        raise ValueError(f"axiom {name} does not use letter {min(extra)!r}")
     return substitute_all(schema, binding)
 
 
@@ -221,7 +226,7 @@ def _abstraction_units(core: Formula) -> list[Formula]:
                 seen.add(node)
                 units.append(node)
         elif isinstance(node, (Not, And)):
-            stack.extend(reversed(children(node)))
+            stack.extend(reversed(node.kids))
         elif not isinstance(node, Top):
             raise TypeError(f"not a core formula: {node!r}")
     return units
@@ -281,14 +286,11 @@ def _check_line(
     if isinstance(just, AxiomInst):
         if just.name not in AXIOM_SCHEMAS:
             return f"unknown axiom {just.name!r}"
-        letters = _AXIOM_LETTERS[just.name]
-        missing = letters - set(just.binding)
-        if missing:
-            return f"binding for axiom {just.name} is missing letter {sorted(missing)[0]!r}"
-        extra = set(just.binding) - letters
-        if extra:
-            return f"axiom {just.name} does not use letter {sorted(extra)[0]!r}"
-        if not _norm_equal(line.formula, instantiate_axiom(just.name, just.binding)):
+        try:
+            instance = instantiate_axiom(just.name, just.binding)
+        except ValueError as exc:
+            return str(exc)
+        if not _norm_equal(line.formula, instance):
             return f"does not match axiom {just.name} under the given binding"
         return None
     if isinstance(just, MP):

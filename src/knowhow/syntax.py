@@ -29,7 +29,7 @@ import re
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Mapping, NamedTuple, TypeVar
 
 __all__ = [
     "Formula",
@@ -63,74 +63,113 @@ KEYWORDS = frozenset({"top", "bot", "Kh", "Khp", "U"})
 _ATOM_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
 class Formula:
-    """Base class of all formula nodes."""
+    """Base class of all formula nodes.
+
+    Each node caches its children (``kids``, left to right), its ``height``
+    (a leaf has height 1) and its hash, computed once at construction from
+    the children's cached values; equality is an iterative walk.
+    """
+
+    def __post_init__(self) -> None:
+        # Every field of a non-atom node is a child, and at this point the
+        # instance dict holds just the fields.  Writing the dict directly
+        # keeps construction cheap; the dataclass stays frozen.
+        cache = self.__dict__
+        kids = cache["kids"] = tuple(cache.values())
+        cache["height"] = 1 + max([k.height for k in kids], default=0)
+        cache["_hash"] = hash((type(self), kids))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack = [(self, other)]
+        seen: set[tuple[int, int]] = set()  # pairs already matched; subterms may be shared
+        while stack:
+            a, b = stack.pop()
+            pair = (id(a), id(b))
+            if a is b or pair in seen:
+                continue
+            if a._hash != b._hash or type(a) is not type(b) or (type(a) is Atom and a.name != b.name):
+                return False
+            seen.add(pair)
+            stack.extend(zip(a.kids, b.kids))
+        return True
+
+    def __reduce__(self):
+        # Rebuild through __init__: the cached hash is only valid in this process.
+        return type(self), tuple(getattr(self, f) for f in self.__dataclass_fields__)
 
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
 
     def __post_init__(self) -> None:
         if not _ATOM_NAME.match(self.name) or self.name in KEYWORDS:
             raise ValueError(f"invalid atom name {self.name!r}")
+        self.__dict__.update(kids=(), height=1, _hash=hash(self.name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class U(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kh(Formula):
     cond: Formula
     goal: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KhPlus(Formula):
     cond: Formula
     goal: Formula
@@ -138,34 +177,12 @@ class KhPlus(Formula):
 
 def children(phi: Formula) -> tuple[Formula, ...]:
     """The immediate subformulas of ``phi``, left to right."""
-    if isinstance(phi, (Not, U)):
-        return (phi.child,)
-    if isinstance(phi, (And, Or, Implies, Iff)):
-        return (phi.left, phi.right)
-    if isinstance(phi, (Kh, KhPlus)):
-        return (phi.cond, phi.goal)
-    return ()
+    return phi.kids
 
 
 def formula_height(phi: Formula) -> int:
-    """Height of the AST (a leaf has height 1).  Iterative, shares subterms."""
-    heights: dict[int, int] = {}
-    node_of: dict[int, Formula] = {}
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        key = id(node)
-        if key in heights:
-            continue
-        node_of[key] = node
-        kids = children(node)
-        pending = [k for k in kids if id(k) not in heights]
-        if pending:
-            stack.append(node)
-            stack.extend(pending)
-        else:
-            heights[key] = 1 + max((heights[id(k)] for k in kids), default=0)
-    return heights[id(phi)]
+    """Height of the AST (a leaf has height 1)."""
+    return phi.height
 
 
 def atom_names(phi: Formula) -> frozenset[str]:
@@ -232,17 +249,9 @@ def _guarded(phi: Formula, fn: Callable[[], _T]) -> _T:
 
 # --- Tokenizer ------------------------------------------------------------
 
-_WORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_PUNCT = (
-    ("<->", "<->"),
-    ("->", "->"),
-    ("(", "("),
-    (")", ")"),
-    (",", ","),
-    ("&", "&"),
-    ("|", "|"),
-    ("~", "~"),
-)
+# One token per match, punctuation first; whitespace matches nothing, so
+# finditer skips it, and any other character falls through to the last group.
+_TOKEN = re.compile(r"(<->|->|[(),&|~])|([A-Za-z][A-Za-z0-9_]*)|(\S)")
 
 
 class FormulaSyntaxError(ValueError):
@@ -261,8 +270,7 @@ class FormulaSyntaxError(ValueError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # punctuation, keyword, "ident" or "end"
     text: str
     pos: int  # 1-based character offset
@@ -270,35 +278,20 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        matched = False
-        for literal, kind in _PUNCT:
-            if text.startswith(literal, i):
-                tokens.append(_Token(kind, literal, i + 1))
-                i += len(literal)
-                matched = True
-                break
-        if matched:
-            continue
-        word = _WORD.match(text, i)
-        if word:
-            w = word.group()
-            if w in KEYWORDS:
-                tokens.append(_Token(w, w, i + 1))
-            elif w[0].islower():
-                tokens.append(_Token("ident", w, i + 1))
-            else:
-                raise FormulaSyntaxError(f"unknown keyword {w!r}", i + 1)
-            i = word.end()
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", i + 1)
-    tokens.append(_Token("end", "", n + 1))
+    for match in _TOKEN.finditer(text):
+        punct, word, other = match.groups()
+        pos = match.start() + 1
+        if punct:
+            tokens.append(_Token(punct, punct, pos))
+        elif word in KEYWORDS:
+            tokens.append(_Token(word, word, pos))
+        elif word and word[0].islower():
+            tokens.append(_Token("ident", word, pos))
+        elif word:
+            raise FormulaSyntaxError(f"unknown keyword {word!r}", pos)
+        else:
+            raise FormulaSyntaxError(f"unexpected character {other!r}", pos)
+    tokens.append(_Token("end", "", len(text) + 1))
     return tokens
 
 
@@ -492,34 +485,32 @@ def print_formula(phi: Formula) -> str:
 # --- Normalization --------------------------------------------------------
 
 
-def _normalize(phi: Formula) -> Formula:
+def _normalize(phi: Formula, memo: dict[Formula, Formula]) -> Formula:
+    found = memo.get(phi)
+    if found is not None:
+        return found
+    kids = [_normalize(k, memo) for k in phi.kids]
     if isinstance(phi, (Top, Atom)):
-        return phi
-    if isinstance(phi, Bot):
-        return Not(Top())
-    if isinstance(phi, Not):
-        return Not(_normalize(phi.child))
-    if isinstance(phi, And):
-        return And(_normalize(phi.left), _normalize(phi.right))
-    if isinstance(phi, Or):
-        return Not(And(Not(_normalize(phi.left)), Not(_normalize(phi.right))))
-    if isinstance(phi, Implies):
-        return Not(And(_normalize(phi.left), Not(_normalize(phi.right))))
-    if isinstance(phi, Iff):
-        return And(
-            _normalize(Implies(phi.left, phi.right)),
-            _normalize(Implies(phi.right, phi.left)),
-        )
-    if isinstance(phi, U):
-        return Kh(Not(_normalize(phi.child)), Not(Top()))
-    if isinstance(phi, Kh):
-        return Kh(_normalize(phi.cond), _normalize(phi.goal))
-    if isinstance(phi, KhPlus):
-        return And(
-            Kh(_normalize(phi.cond), _normalize(phi.goal)),
-            Not(_normalize(U(Implies(phi.cond, phi.goal)))),
-        )
-    raise TypeError(f"not a formula: {phi!r}")
+        result = phi
+    elif isinstance(phi, Bot):
+        result = Not(Top())
+    elif isinstance(phi, (Not, And, Kh)):
+        result = type(phi)(*kids)
+    elif isinstance(phi, Or):
+        result = Not(And(Not(kids[0]), Not(kids[1])))
+    elif isinstance(phi, Implies):
+        result = Not(And(kids[0], Not(kids[1])))
+    elif isinstance(phi, Iff):  # (a -> b) & (b -> a)
+        result = And(Not(And(kids[0], Not(kids[1]))), Not(And(kids[1], Not(kids[0]))))
+    elif isinstance(phi, U):
+        result = Kh(Not(kids[0]), Not(Top()))
+    elif isinstance(phi, KhPlus):  # Kh(a, b) & ~U(a -> b)
+        implies = Not(And(kids[0], Not(kids[1])))
+        result = And(Kh(*kids), Not(Kh(Not(implies), Not(Top()))))
+    else:
+        raise TypeError(f"not a formula: {phi!r}")
+    memo[phi] = result
+    return result
 
 
 def normalize(phi: Formula) -> Formula:
@@ -527,10 +518,11 @@ def normalize(phi: Formula) -> Formula:
 
     ``bot``, ``|``, ``->`` and ``<->`` expand classically; ``U a`` becomes
     ``Kh(~a, ~top)`` and ``Khp(a, b)`` becomes ``Kh(a, b) & ~U(a -> b)``
-    (then expanded recursively).  Idempotent.  Note that ``<->`` and
-    ``Khp`` duplicate subterms, so the result can be larger than the input.
+    (then expanded recursively).  Idempotent.  Equal subterms are
+    normalized once and shared, so although ``<->`` and ``Khp`` mention
+    their operands twice, the result has size linear in the input.
     """
-    return _guarded(phi, lambda: _normalize(phi))
+    return _guarded(phi, lambda: _normalize(phi, {}))
 
 
 # --- Substitution ---------------------------------------------------------
@@ -539,25 +531,9 @@ def normalize(phi: Formula) -> Formula:
 def _substitute_all(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
     if isinstance(phi, Atom):
         return mapping.get(phi.name, phi)
-    if isinstance(phi, (Top, Bot)):
+    if not phi.kids:
         return phi
-    if isinstance(phi, Not):
-        return Not(_substitute_all(phi.child, mapping))
-    if isinstance(phi, U):
-        return U(_substitute_all(phi.child, mapping))
-    if isinstance(phi, And):
-        return And(_substitute_all(phi.left, mapping), _substitute_all(phi.right, mapping))
-    if isinstance(phi, Or):
-        return Or(_substitute_all(phi.left, mapping), _substitute_all(phi.right, mapping))
-    if isinstance(phi, Implies):
-        return Implies(_substitute_all(phi.left, mapping), _substitute_all(phi.right, mapping))
-    if isinstance(phi, Iff):
-        return Iff(_substitute_all(phi.left, mapping), _substitute_all(phi.right, mapping))
-    if isinstance(phi, Kh):
-        return Kh(_substitute_all(phi.cond, mapping), _substitute_all(phi.goal, mapping))
-    if isinstance(phi, KhPlus):
-        return KhPlus(_substitute_all(phi.cond, mapping), _substitute_all(phi.goal, mapping))
-    raise TypeError(f"not a formula: {phi!r}")
+    return type(phi)(*(_substitute_all(k, mapping) for k in phi.kids))
 
 
 def substitute_all(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:

@@ -55,6 +55,14 @@ class TestCheck:
         assert code == 0
         assert "GLOBAL-TRUE" in out
 
+    def test_nested_iff_is_not_expanded_twice(self, ex1_path):
+        # An even number of "p <->" prefixes is equivalent to q; evaluated
+        # as a tree, 40 levels of <-> would have 2^40 nodes.
+        nested = "p <-> (" * 39 + "p <-> q" + ")" * 39
+        code, out, _ = run_cli("check", ex1_path, nested)
+        assert (code, out) == run_cli("check", ex1_path, "q")[:2]
+        assert out == "TRUE AT: s4 s7 s8\n"
+
     def test_json(self, ex1_path):
         code, out, _ = run_cli("check", ex1_path, "Kh(p, q)", "--json")
         assert code == 0
@@ -156,6 +164,26 @@ class TestProve:
         assert code == 2
         assert "line 1" in err
 
+    def test_deep_proof_every_rule(self, tmp_path):
+        deep = "~" * 9_000 + "p"
+        proof = tmp_path / "deep.prf"
+        proof.write_text(
+            f"hypothesis {deep}\n"
+            f"1. {deep} ; hyp 1\n"
+            f"2. {deep} -> {deep} ; taut\n"
+            f"3. {deep} ; mp 1 2\n"
+            f"4. U {deep} ; necu 3\n"
+            f"5. {'~' * 9_000}q ; sub 3 p q\n"
+            f"6. U(p -> {deep}) -> Kh(p, {deep}) ; axiom EMP p=p q={deep}\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "knowhow", "prove", str(proof)],
+            capture_output=True,
+            text=True,
+        )
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout) == (0, "ACCEPTED\n")
+
     def test_json(self, fixtures_dir):
         code, out, _ = run_cli("prove", str(fixtures_dir / "tri.prf"), "--json")
         assert code == 0
@@ -188,6 +216,14 @@ class TestCountermodel:
         )
         assert code == 1
         assert out == "NONE FOUND\n"
+
+    def test_negative_model_count_is_error(self):
+        code, out, err = run_cli(
+            "countermodel", "p", "--max-states", "3", "--max-actions", "2",
+            "--letters", "p", "--models", "-3",
+        )
+        assert (code, out) == (2, "")
+        assert "non-negative" in err
 
     def test_byte_identical_runs(self):
         first = run_cli(*self.ARGS)
@@ -230,6 +266,11 @@ class TestAudit:
         doc = json.loads(out)
         assert doc["violations"] == []
         assert doc["models_checked"] == 3
+
+    def test_negative_model_count_is_error(self):
+        code, out, err = run_cli("audit", "--models", "-5")
+        assert (code, out) == (2, "")
+        assert "non-negative" in err
 
 
 class TestDiagnostics:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +30,6 @@ from knowhow import (
     print_formula,
     substitute,
 )
-from knowhow.syntax import _run_deep
 
 from helpers import random_formula
 
@@ -248,9 +251,14 @@ class TestDepthLimit:
         depth = 9_990
         phi = parse_formula("~" * depth + "p")
         assert formula_height(phi) == depth + 1
-        assert _run_deep(lambda: parse_formula(print_formula(phi)) == phi)
-        assert _run_deep(lambda: normalize(normalize(phi)) == normalize(phi))
-        assert _run_deep(lambda: substitute(phi, "p", q) == parse_formula("~" * depth + "q"))
+        assert parse_formula(print_formula(phi)) == phi
+        assert normalize(normalize(phi)) == normalize(phi)
+        assert substitute(phi, "p", q) == parse_formula("~" * depth + "q")
+        twin = parse_formula("~" * depth + "p")
+        assert twin is not phi
+        assert hash(twin) == hash(phi)
+        assert twin == phi
+        assert twin != parse_formula("~" * depth + "q")
 
     def test_deep_parens(self):
         phi = parse_formula("(" * 3000 + "p" + ")" * 3000)
@@ -273,3 +281,22 @@ def test_formula_height():
 def test_str_matches_printer():
     phi = Implies(And(Not(p), q), U(r))
     assert str(phi) == print_formula(phi)
+
+
+def test_unpickled_formula_matches_fresh_one_in_another_process():
+    # Cached hashes are per process; unpickling must rebuild them.
+    phi = parse_formula("Kh(p, q & ~r) -> U p")
+    script = (
+        "import pickle, sys\n"
+        "from knowhow import parse_formula\n"
+        "phi = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = parse_formula(str(phi))\n"
+        "print(phi == fresh, {phi: 1}.get(fresh))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=pickle.dumps(phi),
+        capture_output=True,
+        env={**os.environ, "PYTHONHASHSEED": "1"},
+    )
+    assert proc.stdout == b"True 1\n", proc.stderr
