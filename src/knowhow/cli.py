@@ -5,9 +5,14 @@ Commands: ``check``, ``plan``, ``verify-plan``, ``prove``,
 models and proofs are files.  Exit status: 0 for affirmative results
 (true / plan found / proof accepted / countermodel found / zero
 violations), 1 for negative results, 2 for usage, file or parse errors
-(diagnostics go to stderr).  ``--json`` switches the report on stdout to
-a single JSON document whose fields mirror the text output.  Output is
-byte-identical across runs for identical inputs.
+(diagnostics go to stderr).  Output is byte-identical across runs for
+identical inputs.
+
+Each ``cmd_*`` function computes its report once and returns it as a
+:class:`Result` record without writing anything; :func:`main` alone
+renders the record -- as text, or with ``--json`` as a single JSON
+document whose fields mirror the text and whose first key is
+``"command"`` -- and maps it to the exit status.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .modelgen import GenConfig, find_countermodel, soundness_audit
 from .models import Model, ModelFormatError, format_model, parse_model
@@ -42,184 +47,166 @@ def _load_model(path: str) -> Model:
     return parse_model(_read(path))
 
 
-def _emit_json(document: dict) -> None:
-    json.dump(document, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
 def _split_letters(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _is_global(phi: Formula) -> bool:
-    return isinstance(phi, (Kh, KhPlus, U))
-
-
-def cmd_check(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
-    phi = parse_formula(args.formula)
-    truth = model.canonical(ext(model, phi))
-    verdict: Optional[str] = None
-    if _is_global(phi):
-        verdict = "GLOBAL-TRUE" if len(truth) == len(model.states) else "GLOBAL-FALSE"
-    if args.json:
-        _emit_json(
-            {
-                "command": "check",
-                "model": args.model,
-                "formula": args.formula,
-                "truth_set": list(truth),
-                "global_verdict": verdict,
-            }
-        )
-    else:
-        print("TRUE AT:", " ".join(truth) if truth else "(none)")
-        if verdict is not None:
-            print(verdict)
-    return 0 if truth else 1
-
-
-def cmd_plan(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
-    starts = ext(model, parse_formula(args.pre))
-    goals = ext(model, parse_formula(args.goal))
-    result = find_plan(model, starts, goals)
-    if args.json:
-        _emit_json(
-            {
-                "command": "plan",
-                "model": args.model,
-                "pre": args.pre,
-                "goal": args.goal,
-                "found": result.decision,
-                "plan": list(result.witness) if result.witness is not None else None,
-                "explored": result.explored,
-            }
-        )
-    elif result.decision:
-        print("PLAN:", " ".join(result.witness) if result.witness else "(epsilon)")
-    else:
-        print("NO PLAN")
-    return 0 if result.decision else 1
-
-
-def cmd_verify_plan(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
-    starts = ext(model, parse_formula(args.pre))
-    goals = ext(model, parse_formula(args.goal))
-    check = verify_plan(model, starts, goals, tuple(args.actions))
-    if args.json:
-        failure = None
-        if not check.ok:
-            failure = {
-                "kind": check.kind,
-                "start": check.start,
-                "step": None if check.step is None else check.step + 1,
-                "action": check.action,
-                "state": check.state,
-            }
-        _emit_json(
-            {
-                "command": "verify-plan",
-                "model": args.model,
-                "pre": args.pre,
-                "goal": args.goal,
-                "plan": list(args.actions),
-                "ok": check.ok,
-                "failure": failure,
-            }
-        )
-    elif check.ok:
-        print("OK")
-    else:
-        print("FAIL:", check.describe())
-    return 0 if check.ok else 1
-
-
-def cmd_prove(args: argparse.Namespace) -> int:
-    document = parse_proof(_read(args.file))
-    verdict = check_proof_under(document.proof, document.hypotheses)
-    if args.json:
-        _emit_json(
-            {
-                "command": "prove",
-                "file": args.file,
-                "accepted": verdict.accepted,
-                "line": verdict.line,
-                "reason": verdict.reason,
-            }
-        )
-    else:
-        print(format_verdict(verdict))
-    return 0 if verdict.accepted else 1
-
-
-def cmd_countermodel(args: argparse.Namespace) -> int:
-    phi = parse_formula(args.formula)
-    mode = "exhaustive" if args.exhaustive else "random"
-    cfg = GenConfig(
-        max_states=args.max_states,
-        max_actions=args.max_actions,
-        letters=_split_letters(args.letters),
-        seed=args.seed,
-        mode=mode,
-    )
-    limit = args.models
-    if limit is None and mode == "random":
-        limit = 10_000
-    found = find_countermodel(phi, cfg, limit)
-    if args.json:
-        _emit_json(
-            {
-                "command": "countermodel",
-                "formula": args.formula,
-                "mode": mode,
-                "found": found is not None,
-                "model": format_model(found[0]) if found else None,
-                "state": found[1] if found else None,
-            }
-        )
-    elif found:
-        sys.stdout.write(format_model(found[0]))
-        print("FALSIFIED AT:", found[1])
-    else:
-        print("NONE FOUND")
-    return 0 if found else 1
-
-
-def cmd_audit(args: argparse.Namespace) -> int:
-    cfg = GenConfig(
+def _gen_config(args: argparse.Namespace) -> GenConfig:
+    return GenConfig(
         max_states=args.max_states,
         max_actions=args.max_actions,
         letters=_split_letters(args.letters),
         seed=args.seed,
         mode="exhaustive" if args.exhaustive else "random",
     )
-    report = soundness_audit(cfg, args.models)
-    if args.json:
-        _emit_json(
-            {
-                "command": "audit",
-                "models_checked": report.models_checked,
-                "instances_checked": report.instances_checked,
-                "violations": [
-                    {
-                        "model_number": v.model_number,
-                        "schema": v.schema,
-                        "assignment": dict(v.assignment),
-                        "model": format_model(v.model),
-                    }
-                    for v in report.violations
-                ],
-            }
-        )
+
+
+def _is_global(phi: Formula) -> bool:
+    return isinstance(phi, (Kh, KhPlus, U))
+
+
+class Result(NamedTuple):
+    """What a command found, before it is rendered."""
+
+    ok: bool  # affirmative: exit status 0, else 1
+    fields: dict  # the JSON document after its leading "command" key
+    text: str  # the text report, without its final newline
+
+
+def cmd_check(args: argparse.Namespace) -> Result:
+    model = _load_model(args.model)
+    phi = parse_formula(args.formula)
+    truth = model.canonical(ext(model, phi))
+    text = "TRUE AT: " + (" ".join(truth) if truth else "(none)")
+    verdict: Optional[str] = None
+    if _is_global(phi):
+        verdict = "GLOBAL-TRUE" if len(truth) == len(model.states) else "GLOBAL-FALSE"
+        text += "\n" + verdict
+    return Result(
+        bool(truth),
+        {
+            "model": args.model,
+            "formula": args.formula,
+            "truth_set": list(truth),
+            "global_verdict": verdict,
+        },
+        text,
+    )
+
+
+def cmd_plan(args: argparse.Namespace) -> Result:
+    model = _load_model(args.model)
+    starts = ext(model, parse_formula(args.pre))
+    goals = ext(model, parse_formula(args.goal))
+    result = find_plan(model, starts, goals)
+    if result.decision:
+        text = "PLAN: " + (" ".join(result.witness) if result.witness else "(epsilon)")
     else:
-        print(f"checked {report.models_checked} models, {report.instances_checked} instances")
-        print(f"violations: {len(report.violations)}")
-        for v in report.violations:
-            binding = " ".join(f"{letter}={atom}" for letter, atom in v.assignment)
-            print(f"VIOLATION model #{v.model_number} schema {v.schema} [{binding}]")
-    return 0 if report.ok else 1
+        text = "NO PLAN"
+    return Result(
+        result.decision,
+        {
+            "model": args.model,
+            "pre": args.pre,
+            "goal": args.goal,
+            "found": result.decision,
+            "plan": list(result.witness) if result.witness is not None else None,
+            "explored": result.explored,
+        },
+        text,
+    )
+
+
+def cmd_verify_plan(args: argparse.Namespace) -> Result:
+    model = _load_model(args.model)
+    starts = ext(model, parse_formula(args.pre))
+    goals = ext(model, parse_formula(args.goal))
+    check = verify_plan(model, starts, goals, tuple(args.actions))
+    failure = None
+    if not check.ok:
+        failure = {
+            "kind": check.kind,
+            "start": check.start,
+            "step": None if check.step is None else check.step + 1,
+            "action": check.action,
+            "state": check.state,
+        }
+    return Result(
+        check.ok,
+        {
+            "model": args.model,
+            "pre": args.pre,
+            "goal": args.goal,
+            "plan": list(args.actions),
+            "ok": check.ok,
+            "failure": failure,
+        },
+        "OK" if check.ok else "FAIL: " + check.describe(),
+    )
+
+
+def cmd_prove(args: argparse.Namespace) -> Result:
+    document = parse_proof(_read(args.file))
+    verdict = check_proof_under(document.proof, document.hypotheses)
+    return Result(
+        verdict.accepted,
+        {
+            "file": args.file,
+            "accepted": verdict.accepted,
+            "line": verdict.line,
+            "reason": verdict.reason,
+        },
+        format_verdict(verdict),
+    )
+
+
+def cmd_countermodel(args: argparse.Namespace) -> Result:
+    phi = parse_formula(args.formula)
+    cfg = _gen_config(args)
+    limit = args.models
+    if limit is None and cfg.mode == "random":
+        limit = 10_000
+    found = find_countermodel(phi, cfg, limit)
+    model, state = (format_model(found[0]), found[1]) if found else (None, None)
+    return Result(
+        found is not None,
+        {
+            "formula": args.formula,
+            "mode": cfg.mode,
+            "found": found is not None,
+            "model": model,
+            "state": state,
+        },
+        f"{model}FALSIFIED AT: {state}" if found else "NONE FOUND",
+    )
+
+
+def cmd_audit(args: argparse.Namespace) -> Result:
+    report = soundness_audit(_gen_config(args), args.models)
+    lines = [
+        f"checked {report.models_checked} models, {report.instances_checked} instances",
+        f"violations: {len(report.violations)}",
+    ]
+    for v in report.violations:
+        binding = " ".join(f"{letter}={atom}" for letter, atom in v.assignment)
+        lines.append(f"VIOLATION model #{v.model_number} schema {v.schema} [{binding}]")
+    return Result(
+        report.ok,
+        {
+            "models_checked": report.models_checked,
+            "instances_checked": report.instances_checked,
+            "violations": [
+                {
+                    "model_number": v.model_number,
+                    "schema": v.schema,
+                    "assignment": dict(v.assignment),
+                    "model": format_model(v.model),
+                }
+                for v in report.violations
+            ],
+        },
+        "\n".join(lines),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,20 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="emit a JSON document instead of text")
-
     p = sub.add_parser("check", help="evaluate a formula on a model")
     p.add_argument("model", help="model file")
     p.add_argument("formula", help="formula text")
-    add_json(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("plan", help="search for a plan from PRE-states to GOAL-states")
     p.add_argument("model", help="model file")
     p.add_argument("pre", help="precondition formula")
     p.add_argument("goal", help="goal formula")
-    add_json(p)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("verify-plan", help="check a given action sequence against the definition")
@@ -254,12 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pre", help="precondition formula")
     p.add_argument("goal", help="goal formula")
     p.add_argument("actions", nargs="*", help="plan actions (empty for the empty plan)")
-    add_json(p)
     p.set_defaults(func=cmd_verify_plan)
 
     p = sub.add_parser("prove", help="check a proof file")
     p.add_argument("file", help="proof file")
-    add_json(p)
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("countermodel", help="search small models for one falsifying the formula")
@@ -271,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--seed", type=int, default=0)
     mode.add_argument("--exhaustive", action="store_true", help="enumerate instead of sampling")
     p.add_argument("--models", type=int, default=None, help="cap on models tried (default 10000 for random)")
-    add_json(p)
     p.set_defaults(func=cmd_countermodel)
 
     p = sub.add_parser("audit", help="evaluate the validity schemas on generated models")
@@ -281,17 +260,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-actions", type=int, default=3)
     p.add_argument("--letters", default="p,q,r,o")
     p.add_argument("--exhaustive", action="store_true")
-    add_json(p)
     p.set_defaults(func=cmd_audit)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit a JSON document instead of text")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        if args.json:
+            json.dump({"command": args.command, **result.fields}, sys.stdout, indent=2)
+            sys.stdout.write("\n")
+        else:
+            print(result.text)
     except (
         FormulaSyntaxError,
         ModelFormatError,
@@ -302,6 +286,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if result.ok else 1
 
 
 def console_main() -> None:

@@ -217,14 +217,15 @@ def _abstraction_units(core: Formula) -> list[Formula]:
     """Maximal non-Boolean subformulas (and atoms) of a normalized formula,
     in first-occurrence order; identical subformulas share a unit."""
     units: list[Formula] = []
-    seen: set[Formula] = set()
+    seen: set[Formula] = set()  # subterms may be shared: visit each once
     stack = [core]
     while stack:
         node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
         if isinstance(node, (Atom, Kh)):
-            if node not in seen:
-                seen.add(node)
-                units.append(node)
+            units.append(node)
         elif isinstance(node, (Not, And)):
             stack.extend(reversed(node.kids))
         elif not isinstance(node, Top):
@@ -233,14 +234,24 @@ def _abstraction_units(core: Formula) -> list[Formula]:
 
 
 def _truth(phi: Formula, env: dict[Formula, bool]) -> bool:
-    if isinstance(phi, Top):
-        return True
-    if isinstance(phi, (Atom, Kh)):
-        return env[phi]
+    """Truth value of ``phi`` given its units' values in ``env``.
+
+    Subterms may be shared, so the value of each ``And`` node is cached in
+    ``env`` too and computed once per assignment; a tree walk would double
+    its work with each level of sharing.  ``Not`` is unary and stays
+    uncached, which keeps the common unshared case as cheap as a tree walk.
+    """
     if isinstance(phi, Not):
         return not _truth(phi.child, env)
     if isinstance(phi, And):
-        return _truth(phi.left, env) and _truth(phi.right, env)
+        value = env.get(phi)
+        if value is None:
+            value = env[phi] = _truth(phi.left, env) and _truth(phi.right, env)
+        return value
+    if isinstance(phi, (Atom, Kh)):
+        return env[phi]
+    if isinstance(phi, Top):
+        return True
     raise TypeError(f"not a core formula: {phi!r}")
 
 

@@ -29,6 +29,7 @@ import re
 import sys
 import threading
 from dataclasses import dataclass
+from operator import is_
 from typing import Callable, Mapping, NamedTuple, TypeVar
 
 __all__ = [
@@ -202,40 +203,52 @@ def atom_names(phi: Formula) -> frozenset[str]:
 #
 # CPython's main thread segfaults well below the recursion depths the
 # 10,000-level nesting contract requires, so operations on large inputs are
-# shipped to a worker thread with a big stack.  `threading.stack_size` is
-# process-global, hence the lock around thread creation.
+# shipped to a worker thread with a big stack.  `threading.stack_size` and
+# the recursion limit are process-global, hence the lock: the first deep
+# call raises the limit before its worker starts, and the last one to finish
+# restores it, so concurrent deep calls never lower it under each other.
 
 _INLINE_TOKEN_LIMIT = 1_500
 _INLINE_HEIGHT_LIMIT = 1_500
 _WORKER_STACK_BYTES = 256 * 1024 * 1024
 _WORKER_RECURSION_LIMIT = 150_000
 _SPAWN_LOCK = threading.Lock()
+_deep_workers = 0  # running deep workers; guarded by _SPAWN_LOCK
+_saved_recursion_limit = 0  # the limit before the first of them started
 
 _T = TypeVar("_T")
 
 
 def _run_deep(fn: Callable[[], _T]) -> _T:
+    global _deep_workers, _saved_recursion_limit
     results: list[_T] = []
     errors: list[BaseException] = []
 
     def runner() -> None:
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(_WORKER_RECURSION_LIMIT)
         try:
             results.append(fn())
         except BaseException as exc:  # re-raised in the caller
             errors.append(exc)
-        finally:
-            sys.setrecursionlimit(old)
 
     with _SPAWN_LOCK:
-        old_size = threading.stack_size(_WORKER_STACK_BYTES)
-        try:
-            thread = threading.Thread(target=runner, name="knowhow-deep")
-            thread.start()
-        finally:
-            threading.stack_size(old_size)
-    thread.join()
+        if _deep_workers == 0:
+            _saved_recursion_limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(max(_saved_recursion_limit, _WORKER_RECURSION_LIMIT))
+        _deep_workers += 1
+    try:
+        with _SPAWN_LOCK:
+            old_size = threading.stack_size(_WORKER_STACK_BYTES)
+            try:
+                thread = threading.Thread(target=runner, name="knowhow-deep")
+                thread.start()
+            finally:
+                threading.stack_size(old_size)
+        thread.join()
+    finally:
+        with _SPAWN_LOCK:
+            _deep_workers -= 1
+            if _deep_workers == 0:
+                sys.setrecursionlimit(_saved_recursion_limit)
     if errors:
         raise errors[0]
     return results[0]
@@ -485,17 +498,20 @@ def print_formula(phi: Formula) -> str:
 # --- Normalization --------------------------------------------------------
 
 
-def _normalize(phi: Formula, memo: dict[Formula, Formula]) -> Formula:
+_UNCHANGED = object()  # memo value for a node that is its own normal form
+
+
+def _normalize(phi: Formula, memo: dict[Formula, object]) -> Formula:
     found = memo.get(phi)
     if found is not None:
-        return found
+        return phi if found is _UNCHANGED else found
     kids = [_normalize(k, memo) for k in phi.kids]
     if isinstance(phi, (Top, Atom)):
         result = phi
     elif isinstance(phi, Bot):
         result = Not(Top())
     elif isinstance(phi, (Not, And, Kh)):
-        result = type(phi)(*kids)
+        result = phi if all(map(is_, kids, phi.kids)) else type(phi)(*kids)
     elif isinstance(phi, Or):
         result = Not(And(Not(kids[0]), Not(kids[1])))
     elif isinstance(phi, Implies):
@@ -509,7 +525,7 @@ def _normalize(phi: Formula, memo: dict[Formula, Formula]) -> Formula:
         result = And(Kh(*kids), Not(Kh(Not(implies), Not(Top()))))
     else:
         raise TypeError(f"not a formula: {phi!r}")
-    memo[phi] = result
+    memo[phi] = _UNCHANGED if result is phi else result
     return result
 
 
@@ -518,9 +534,11 @@ def normalize(phi: Formula) -> Formula:
 
     ``bot``, ``|``, ``->`` and ``<->`` expand classically; ``U a`` becomes
     ``Kh(~a, ~top)`` and ``Khp(a, b)`` becomes ``Kh(a, b) & ~U(a -> b)``
-    (then expanded recursively).  Idempotent.  Equal subterms are
-    normalized once and shared, so although ``<->`` and ``Khp`` mention
-    their operands twice, the result has size linear in the input.
+    (then expanded recursively).  Idempotent, and a subformula already in
+    core form is returned as the same object, so ``normalize(c) is c`` for
+    a core formula ``c``.  Equal subterms are normalized once and shared,
+    so although ``<->`` and ``Khp`` mention their operands twice, the
+    result has size linear in the input.
     """
     return _guarded(phi, lambda: _normalize(phi, {}))
 

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from knowhow import parse_model
+from knowhow import GenConfig, format_model, generate, parse_model
 
 from helpers import run_cli
 
@@ -184,6 +187,17 @@ class TestProve:
         assert "Traceback" not in proc.stderr
         assert (proc.returncode, proc.stdout) == (0, "ACCEPTED\n")
 
+    def test_shared_subterms_tautology_is_fast(self, tmp_path):
+        # normalize shares the two operands of every <->; a truth table
+        # evaluated as a tree would double its work with each level.
+        nested = "p <-> (" * 39 + "p <-> q" + ")" * 39
+        proof = tmp_path / "iff.prf"
+        proof.write_text(f"1. ({nested}) -> ({nested}) ; taut\n")
+        start = time.perf_counter()
+        result = run_cli("prove", str(proof))
+        assert time.perf_counter() - start < 2.0
+        assert result == (0, "ACCEPTED\n", "")
+
     def test_json(self, fixtures_dir):
         code, out, _ = run_cli("prove", str(fixtures_dir / "tri.prf"), "--json")
         assert code == 0
@@ -315,6 +329,289 @@ class TestDiagnostics:
         )
         assert code == 2
         assert "not allowed" in err
+
+
+ALL_EX1 = ["s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8"]
+FALSIFIER = "state s1 [p r]\nstate s2 [q]\nstate s3 []\nstate s4 []\naction a\naction b\ntrans s1 a s2\n"
+
+# Each report pinned byte for byte: argv (paths relative to a copy of
+# fixtures/ that also holds bad.prf), exit status, text stdout, and the
+# JSON fields that follow "command" in --json mode.
+PINNED = [
+    pytest.param(
+        ["check", "ex1.lts", "Kh(p, q)"], 0,
+        "TRUE AT: s1 s2 s3 s4 s5 s6 s7 s8\nGLOBAL-TRUE\n",
+        {
+            "model": "ex1.lts",
+            "formula": "Kh(p, q)",
+            "truth_set": ALL_EX1,
+            "global_verdict": "GLOBAL-TRUE",
+        },
+        id="check-global-true",
+    ),
+    pytest.param(
+        ["check", "ex2-left.lts", "Kh(p, q)"], 1,
+        "TRUE AT: (none)\nGLOBAL-FALSE\n",
+        {
+            "model": "ex2-left.lts",
+            "formula": "Kh(p, q)",
+            "truth_set": [],
+            "global_verdict": "GLOBAL-FALSE",
+        },
+        id="check-global-false",
+    ),
+    pytest.param(
+        ["check", "ex1.lts", "p & ~p"], 1,
+        "TRUE AT: (none)\n",
+        {
+            "model": "ex1.lts",
+            "formula": "p & ~p",
+            "truth_set": [],
+            "global_verdict": None,
+        },
+        id="check-empty",
+    ),
+    pytest.param(
+        ["plan", "ex1.lts", "p", "q"], 0,
+        "PLAN: r u\n",
+        {
+            "model": "ex1.lts",
+            "pre": "p",
+            "goal": "q",
+            "found": True,
+            "plan": ["r", "u"],
+            "explored": 5,
+        },
+        id="plan-witness",
+    ),
+    pytest.param(
+        ["plan", "ex2-right.lts", "p", "q"], 1,
+        "NO PLAN\n",
+        {
+            "model": "ex2-right.lts",
+            "pre": "p",
+            "goal": "q",
+            "found": False,
+            "plan": None,
+            "explored": 1,
+        },
+        id="plan-none",
+    ),
+    pytest.param(
+        ["plan", "ex1.lts", "q", "q | p"], 0,
+        "PLAN: (epsilon)\n",
+        {
+            "model": "ex1.lts",
+            "pre": "q",
+            "goal": "q | p",
+            "found": True,
+            "plan": [],
+            "explored": 1,
+        },
+        id="plan-epsilon",
+    ),
+    pytest.param(
+        ["verify-plan", "ex1.lts", "p", "q", "r", "u"], 0,
+        "OK\n",
+        {
+            "model": "ex1.lts",
+            "pre": "p",
+            "goal": "q",
+            "plan": ["r", "u"],
+            "ok": True,
+            "failure": None,
+        },
+        id="verify-ok",
+    ),
+    pytest.param(
+        ["verify-plan", "ex2-left.lts", "p", "q", "a", "b"], 1,
+        "FAIL: step 2 at state s3: no b-successor (from start s1)\n",
+        {
+            "model": "ex2-left.lts",
+            "pre": "p",
+            "goal": "q",
+            "plan": ["a", "b"],
+            "ok": False,
+            "failure": {"kind": "stuck", "start": "s1", "step": 2, "action": "b", "state": "s3"},
+        },
+        id="verify-stuck",
+    ),
+    pytest.param(
+        ["verify-plan", "ex1.lts", "p", "q", "r", "r"], 1,
+        "FAIL: endpoint s5 is not a goal state (from start s3)\n",
+        {
+            "model": "ex1.lts",
+            "pre": "p",
+            "goal": "q",
+            "plan": ["r", "r"],
+            "ok": False,
+            "failure": {"kind": "endpoint", "start": "s3", "step": None, "action": None, "state": "s5"},
+        },
+        id="verify-endpoint",
+    ),
+    pytest.param(
+        ["prove", "tri.prf"], 0,
+        "ACCEPTED\n",
+        {"file": "tri.prf", "accepted": True, "line": None, "reason": None},
+        id="prove-accepted",
+    ),
+    pytest.param(
+        ["prove", "bad.prf"], 1,
+        "REJECTED line 1: not a propositional tautology\n",
+        {"file": "bad.prf", "accepted": False, "line": 1, "reason": "not a propositional tautology"},
+        id="prove-rejected",
+    ),
+    pytest.param(
+        ["countermodel", "Kh(p, q) & Kh(p, r) -> Kh(p, q & r)", "--max-states", "4", "--max-actions", "2",
+         "--letters", "p,q,r", "--exhaustive"], 0,
+        FALSIFIER + "FALSIFIED AT: s1\n",
+        {
+            "formula": "Kh(p, q) & Kh(p, r) -> Kh(p, q & r)",
+            "mode": "exhaustive",
+            "found": True,
+            "model": FALSIFIER,
+            "state": "s1",
+        },
+        id="countermodel-found",
+    ),
+    pytest.param(
+        ["countermodel", "U p -> p", "--max-states", "2", "--max-actions", "1", "--letters", "p",
+         "--exhaustive"], 1,
+        "NONE FOUND\n",
+        {
+            "formula": "U p -> p",
+            "mode": "exhaustive",
+            "found": False,
+            "model": None,
+            "state": None,
+        },
+        id="countermodel-none",
+    ),
+    pytest.param(
+        ["audit", "--models", "5", "--seed", "3", "--max-states", "4", "--max-actions", "2",
+         "--letters", "p,q"], 0,
+        "checked 5 models, 400 instances\nviolations: 0\n",
+        {"models_checked": 5, "instances_checked": 400, "violations": []},
+        id="audit-clean",
+    ),
+]
+
+
+@pytest.fixture
+def in_fixture_copy(fixtures_dir, tmp_path, monkeypatch):
+    shutil.copytree(fixtures_dir, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "bad.prf").write_text("1. p -> q ; taut\n")
+    monkeypatch.chdir(tmp_path)
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("argv, code, text, fields", PINNED)
+    def test_text_and_json(self, in_fixture_copy, argv, code, text, fields):
+        assert run_cli(*argv) == (code, text, "")
+        document = json.dumps({"command": argv[0], **fields}, indent=2) + "\n"
+        assert run_cli(*argv, "--json") == (code, document, "")
+
+    def test_usage_lines(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run_cli("countermodel", "--help")
+        assert code == 0
+        assert out.startswith(
+            "usage: knowhow countermodel [-h] --max-states MAX_STATES --max-actions\n"
+            "                            MAX_ACTIONS [--letters LETTERS]\n"
+            "                            [--seed SEED | --exhaustive] [--models MODELS]\n"
+            "                            [--json]\n"
+            "                            formula\n\n"
+        )
+        code, out, _ = run_cli("audit", "--help")
+        assert code == 0
+        assert out.startswith(
+            "usage: knowhow audit [-h] [--models MODELS] [--seed SEED]\n"
+            "                     [--max-states MAX_STATES] [--max-actions MAX_ACTIONS]\n"
+            "                     [--letters LETTERS] [--exhaustive] [--json]\n\n"
+        )
+
+
+# --- Every input ends in exit 0, 1 or 2 -----------------------------------
+
+def _lines(fragments):
+    """Text built from known-good lines mixed with arbitrary ones."""
+    line = st.one_of(st.sampled_from(fragments), st.text(max_size=12))
+    return st.lists(line, max_size=6).map("\n".join)
+
+
+def _small_model(seed: int) -> bytes:
+    (model,) = generate(GenConfig(3, 2, ("p", "q"), seed), 1)
+    return format_model(model).encode()
+
+
+def _compound(sub):
+    """Well-formed formula text one connective above ``sub``."""
+    pair = st.tuples(sub, sub)
+    binary = ("({} & {})", "({} -> {})", "Kh({}, {})", "Khp({}, {})")
+    return st.one_of(
+        sub.map("~{}".format),
+        sub.map("U {}".format),
+        *(pair.map(lambda t, f=f: f.format(*t)) for f in binary),
+    )
+
+
+_FORMULAS = st.one_of(
+    st.text(max_size=20),
+    st.text(alphabet="pqa~&|()<->,U Khtopb", max_size=20),
+    st.recursive(st.sampled_from(["p", "q", "top", "bot"]), _compound, max_leaves=6),
+    st.sampled_from(["Kh(p, q)", "p | q", "U p -> p", "p <-> ~q", "Khp(q, p)"]),
+)
+_VALID_MODELS = st.integers(0, 2**16).map(_small_model)
+_MODELS = st.one_of(
+    _VALID_MODELS,
+    st.tuples(_VALID_MODELS, st.text(max_size=12)).map(lambda t: t[0] + t[1].encode()),
+    _lines(["state s1 [p]", "state s2 [q]", "state s1 []", "action a", "action b",
+            "trans s1 a s2", "trans s2 b s1", "trans s1 a s1", "# note"]).map(str.encode),
+    st.binary(max_size=16),
+)
+_PROOFS = _lines(["hypothesis p", "1. p ; hyp 1", "1. p -> p ; taut", "2. U(p -> p) ; necu 1",
+                  "2. q ; mp 1 1", "3. q ; sub 1 p q", "3. U(p -> p) -> Kh(p, p) ; axiom EMP p=p q=p"])
+# Counts stay small so that every example runs in milliseconds: exhaustive
+# and random runs are bounded only by --models and the state count.
+_COUNT = st.one_of(st.integers(0, 3), st.integers(-2, 5)).map(str)
+_LETTERS = st.one_of(st.sampled_from(["p", "p,q", " q , r,"]), st.text(alphabet="pqrU,_ 1", max_size=8))
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, model file bytes, proof file text) for any of the commands."""
+    command = draw(st.sampled_from(["check", "plan", "verify-plan", "prove", "countermodel", "audit"]))
+    if command == "check":
+        argv = [command, "m.lts", draw(_FORMULAS)]
+    elif command in ("plan", "verify-plan"):
+        argv = [command, "m.lts", draw(_FORMULAS), draw(_FORMULAS)]
+        if command == "verify-plan":
+            argv += draw(st.lists(st.sampled_from(["a", "b", "zz"]), max_size=3))
+    elif command == "prove":
+        argv = [command, "p.prf"]
+    else:
+        argv = [command] if command == "audit" else [command, draw(_FORMULAS)]
+        argv += ["--max-states", draw(st.one_of(st.integers(1, 3), st.integers(-1, 4)).map(str))]
+        argv += ["--max-actions", draw(st.one_of(st.integers(1, 2), st.integers(-1, 3)).map(str))]
+        argv += ["--letters", draw(_LETTERS), "--models", draw(_COUNT)]
+        argv += draw(st.sampled_from([[], ["--exhaustive"], ["--seed", "7"], ["--seed", str(2**64)]]))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv, draw(_MODELS), draw(_PROOFS)
+
+
+@given(_invocations())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_input_ends_in_a_documented_exit(tmp_path, monkeypatch, invocation):
+    argv, model, proof = invocation
+    (tmp_path / "m.lts").write_bytes(model)
+    (tmp_path / "p.prf").write_text(proof, encoding="utf-8", errors="surrogatepass")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(*argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
 
 
 def test_module_entry_point(ex1_path):

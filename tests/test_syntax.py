@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,7 +198,16 @@ class TestNormalize:
     @settings(max_examples=300)
     def test_idempotent(self, phi):
         once = normalize(phi)
-        assert normalize(once) == once
+        assert normalize(once) is once
+
+    def test_core_input_is_returned_as_is(self):
+        # Equal but distinct atoms and subterms must not make normalize rebuild.
+        c = Kh(And(Atom("p"), Not(Atom("p"))), And(Not(Atom("p")), Top()))
+        assert normalize(c) is c
+        rng = random.Random(9)
+        for _ in range(200):
+            n = normalize(random_formula(rng))
+            assert normalize(n) is n
 
 
 class TestSubstitute:
@@ -259,6 +269,36 @@ class TestDepthLimit:
         assert hash(twin) == hash(phi)
         assert twin == phi
         assert twin != parse_formula("~" * depth + "q")
+
+    def test_concurrent_deep_calls(self):
+        # Deep calls raise the process-wide recursion limit while they run;
+        # overlapping calls must neither lower it under each other nor leave
+        # it raised.
+        phi = parse_formula("~" * 9_990 + "p")
+        limit = sys.getrecursionlimit()
+        errors = []
+
+        def work():
+            try:
+                for _ in range(20):
+                    normalize(phi)
+                    print_formula(phi)
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert sys.getrecursionlimit() == limit
 
     def test_deep_parens(self):
         phi = parse_formula("(" * 3000 + "p" + ")" * 3000)
