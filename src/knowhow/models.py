@@ -43,9 +43,18 @@ class ModelFormatError(ValueError):
 
 
 class Model:
-    """A finite ability map: states, actions, labelled edges, valuation."""
+    """A finite ability map: states, actions, labelled edges, valuation.
 
-    __slots__ = ("states", "actions", "transitions", "valuation", "_index", "_succ", "_can", "_state_set")
+    ``transitions`` and ``valuation`` keep the declared data.  For the
+    queries and the planners, construction also builds one table per
+    action in ``_moves``: a pair of the "can move" mask (bit *i* set iff
+    the *i*-th declared state has an edge labelled with that action) and
+    a tuple holding, for each state index, the mask of its successors.
+    A set of states is an ``int`` with bit *i* for the *i*-th declared
+    state, so equal sets are equal ints.
+    """
+
+    __slots__ = ("states", "actions", "transitions", "valuation", "_index", "_moves")
 
     def __init__(
         self,
@@ -58,21 +67,30 @@ class Model:
         actions = tuple(actions)
         if not states:
             raise ValueError("a model needs at least one state")
-        if len(set(states)) != len(states):
+        index = {s: i for i, s in enumerate(states)}
+        if len(index) != len(states):
             raise ValueError("duplicate state id")
         if len(set(actions)) != len(actions):
             raise ValueError("duplicate action name")
-        state_set = frozenset(states)
         for label in transitions:
             if label not in actions:
                 raise ValueError(f"transition label {label!r} is not a declared action")
-        trans = {a: frozenset(transitions.get(a, ())) for a in actions}
-        for a, pairs in trans.items():
+        trans: dict[str, frozenset[tuple[str, str]]] = {}
+        moves: dict[str, tuple[int, tuple[int, ...]]] = {}
+        for a in actions:
+            pairs = trans[a] = frozenset(transitions.get(a, ()))
+            succ = [0] * len(states)
+            can = 0
             for src, dst in pairs:
-                if src not in state_set or dst not in state_set:
+                i = index.get(src)
+                j = index.get(dst)
+                if i is None or j is None:
                     raise ValueError(f"transition {src} -{a}-> {dst} mentions an undeclared state")
+                succ[i] |= 1 << j
+                can |= 1 << i
+            moves[a] = (can, tuple(succ))
         for s in valuation:
-            if s not in state_set:
+            if s not in index:
                 raise ValueError(f"valuation mentions undeclared state {s!r}")
         val = {s: frozenset(valuation.get(s, ())) for s in states}
 
@@ -80,16 +98,8 @@ class Model:
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "transitions", trans)
         object.__setattr__(self, "valuation", val)
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(states)})
-        object.__setattr__(self, "_state_set", state_set)
-        succ: dict[str, dict[str, frozenset[str]]] = {}
-        for a in actions:
-            by_src: dict[str, set[str]] = {}
-            for src, dst in trans[a]:
-                by_src.setdefault(src, set()).add(dst)
-            succ[a] = {src: frozenset(dsts) for src, dsts in by_src.items()}
-        object.__setattr__(self, "_succ", succ)
-        object.__setattr__(self, "_can", {a: frozenset(succ[a]) for a in actions})
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_moves", moves)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Model is immutable")
@@ -122,34 +132,52 @@ class Model:
 
     def canonical(self, states: Iterable[str]) -> tuple[str, ...]:
         """Duplicate-free tuple ordered by declaration order."""
-        return tuple(sorted(set(states), key=self.index))
+        return self._names(self._mask(states))
 
     def require_action(self, action: str) -> None:
-        if action not in self.transitions:
+        if action not in self._moves:
             raise ValueError(f"unknown action {action!r}")
+
+    def _mask(self, states: Iterable[str], what: str = "") -> int:
+        """The mask of ``states``, read in one pass.  An unknown state
+        raises ``ValueError`` naming the least unknown one, after the
+        prefix ``what`` (such as ``"start set mentions "``)."""
+        index = self._index
+        mask = 0
+        items = iter(states)
+        for s in items:
+            try:
+                mask |= 1 << index[s]
+            except KeyError:
+                unknown = {s, *(t for t in items if t not in index)}
+                raise ValueError(f"{what}unknown state {min(unknown)!r}") from None
+        return mask
+
+    def _names(self, mask: int) -> tuple[str, ...]:
+        """The states in ``mask``, in declaration order."""
+        return tuple(s for i, s in enumerate(self.states) if mask >> i & 1)
 
     def successors(self, state: str, action: str) -> frozenset[str]:
         """All ``action``-successors of ``state``."""
         self.require_action(action)
-        return self._succ[action].get(state, frozenset())
+        return frozenset(self._names(self._moves[action][1][self.index(state)]))
 
     def post_image(self, states: Iterable[str], action: str) -> frozenset[str]:
         """All states reachable from some member of ``states`` by ``action``."""
         self.require_action(action)
-        get = self._succ[action].get
-        out: set[str] = set()
-        for s in states:
-            found = get(s)
-            if found:
-                out |= found
-        return frozenset(out)
+        succ = self._moves[action][1]
+        mask = self._mask(states)
+        image = 0
+        for i, row in enumerate(succ):
+            if mask >> i & 1:
+                image |= row
+        return frozenset(self._names(image))
 
     def applicable(self, states: Iterable[str], action: str) -> bool:
         """True iff every member of ``states`` has at least one
         ``action``-successor (vacuously true for the empty set)."""
         self.require_action(action)
-        can = self._can[action]
-        return all(s in can for s in states)
+        return not self._mask(states) & ~self._moves[action][0]
 
     def labelled(self, letter: str) -> frozenset[str]:
         """States whose valuation contains ``letter``."""

@@ -7,14 +7,18 @@ stuck.  :func:`verify_plan` checks this definition literally, one start
 state at a time, together with "every endpoint satisfies the goal".
 
 :func:`find_plan` decides whether *some* plan works from every start
-state, by breadth-first search over belief states (canonically ordered
-sets of states):
+state, by breadth-first search over belief states.  A belief state is a
+set of states held as an ``int`` mask, bit *i* for the *i*-th declared
+state in declaration order, so equal sets are equal ints and need no
+sorting:
 
 * the root is the start set ``B0``;
-* ``B`` has an ``a``-edge to ``post_image(B, a)`` iff every member of
-  ``B`` has an ``a``-successor;
-* ``B`` is a goal iff ``B`` is a subset of the goal set (so an empty
-  start set succeeds immediately with the empty plan).
+* ``B`` has an ``a``-edge to its image (the union of the successor masks
+  of its members) iff every member of ``B`` has an ``a``-successor, that
+  is ``B & ~can_a == 0``;
+* ``B`` is a goal iff ``B`` is a subset of the goal set,
+  ``B & ~goal == 0`` (so an empty start set succeeds immediately with the
+  empty plan).
 
 Why this is equivalent to "there exists a plan that verify_plan accepts":
 for a fixed plan, the set of states reachable from *some* start by the
@@ -37,15 +41,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .models import Model, Plan
 
 __all__ = ["PlanCheck", "PlanResult", "verify_plan", "find_plan"]
 
 
-@dataclass(frozen=True, slots=True)
-class PlanCheck:
+class PlanCheck(NamedTuple):
     """Outcome of :func:`verify_plan`.
 
     On failure, ``kind`` is ``"stuck"`` (with ``step`` the 0-based index of
@@ -88,13 +91,6 @@ class PlanResult:
     explored: int
 
 
-def _check_states(model: Model, states: Iterable[str], what: str) -> frozenset[str]:
-    out = frozenset(states)
-    if not out <= model._state_set:
-        raise ValueError(f"{what} mentions unknown state {min(out - model._state_set)!r}")
-    return out
-
-
 _PLAN_OK = PlanCheck(True)
 
 
@@ -112,34 +108,34 @@ def verify_plan(
     declaration order, then prefix length, then reached states in
     declaration order.
     """
-    start_set = _check_states(model, starts, "start set")
-    goal_set = _check_states(model, goals, "goal set")
+    start_mask = model._mask(starts, "start set mentions ")
+    goal_mask = model._mask(goals, "goal set mentions ")
     steps: Plan = tuple(plan)
     try:
-        successors = [model._succ[a] for a in steps]
-        executable_at = [model._can[a] for a in steps]
+        tables = [model._moves[a] for a in steps]
     except KeyError as exc:
         raise ValueError(f"unknown action {exc.args[0]!r}") from None
-    index = model.index
-    ordered = sorted(start_set, key=index) if len(start_set) > 1 else start_set
+    states = model.states
 
-    for start in ordered:
-        reached: set[str] = {start}
-        for k, action in enumerate(steps):
-            can = executable_at[k]
-            if not reached <= can:
-                stuck = min(reached - can, key=index)
-                return PlanCheck(
-                    False, kind="stuck", start=start, step=k, action=action, state=stuck
-                )
-            succ = successors[k]
-            nxt: set[str] = set()
-            for t in reached:
-                nxt |= succ[t]
+    for i, start in enumerate(states):
+        if not start_mask >> i & 1:
+            continue
+        reached = 1 << i
+        for k, (can, succ) in enumerate(tables):
+            stuck = reached & ~can
+            if stuck:
+                state = states[(stuck & -stuck).bit_length() - 1]
+                return PlanCheck(False, "stuck", start, k, steps[k], state)
+            nxt = 0
+            while reached:
+                low = reached & -reached
+                nxt |= succ[low.bit_length() - 1]
+                reached ^= low
             reached = nxt
-        if not reached <= goal_set:
-            bad = min(reached - goal_set, key=index)
-            return PlanCheck(False, kind="endpoint", start=start, state=bad)
+        bad = reached & ~goal_mask
+        if bad:
+            state = states[(bad & -bad).bit_length() - 1]
+            return PlanCheck(False, "endpoint", start, None, None, state)
     return _PLAN_OK
 
 
@@ -150,23 +146,28 @@ def find_plan(model: Model, starts: Iterable[str], goals: Iterable[str]) -> Plan
     docstring.  Deterministic: on success the witness is the shortest
     plan, ties broken by action declaration order.
     """
-    start_set = _check_states(model, starts, "start set")
-    goal_set = _check_states(model, goals, "goal set")
+    root = model._mask(starts, "start set mentions ")
+    outside_goal = ~model._mask(goals, "goal set mentions ")
+    moves = [(a, ~can, succ) for a, (can, succ) in model._moves.items()]
 
-    root = model.canonical(start_set)
-    queue: deque[tuple[tuple[str, ...], Plan]] = deque([(root, ())])
-    visited: set[tuple[str, ...]] = {root}
+    queue: deque[tuple[int, Plan]] = deque([(root, ())])
+    visited = {root}
     explored = 0
     while queue:
         belief, path = queue.popleft()
         explored += 1
-        if goal_set.issuperset(belief):
+        if not belief & outside_goal:
             return PlanResult(True, path, explored)
-        for action in model.actions:
-            if not model.applicable(belief, action):
+        for action, stuck, succ in moves:
+            if belief & stuck:
                 continue
-            nxt = model.canonical(model.post_image(belief, action))
-            if nxt not in visited:
-                visited.add(nxt)
-                queue.append((nxt, path + (action,)))
+            image = 0
+            rest = belief
+            while rest:
+                low = rest & -rest
+                image |= succ[low.bit_length() - 1]
+                rest ^= low
+            if image not in visited:
+                visited.add(image)
+                queue.append((image, path + (action,)))
     return PlanResult(False, None, explored)

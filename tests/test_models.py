@@ -135,6 +135,22 @@ class TestQueries:
         with pytest.raises(ValueError, match="unknown action"):
             ex1.applicable({"s1"}, "z")
 
+    def test_successors_ex1(self, ex1):
+        assert ex1.successors("s2", "r") == {"s3"}
+        assert ex1.successors("s5", "u") == frozenset()
+
+    def test_unknown_state(self, ex1):
+        with pytest.raises(ValueError, match=r"^unknown state 'nope'$"):
+            ex1.successors("nope", "r")
+        with pytest.raises(ValueError, match=r"^unknown state 'nope'$"):
+            ex1.post_image({"nope", "s2"}, "r")
+        with pytest.raises(ValueError, match=r"^unknown state 'nope'$"):
+            ex1.applicable({"nope"}, "r")
+
+    def test_canonical_names_least_unknown_state(self, ex1):
+        with pytest.raises(ValueError, match=r"^unknown state 'aa'$"):
+            ex1.canonical(["s1", "zz", "aa", "qq"])
+
     def test_canonical_order(self, ex1):
         assert ex1.canonical(["s7", "s2", "s7", "s1"]) == ("s1", "s2", "s7")
 

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
-from knowhow import GenConfig, find_plan, generate, parse_model, verify_plan
+from knowhow import GenConfig, Model, PlanCheck, find_plan, generate, parse_model, verify_plan
 
 from helpers import plan_exists_bruteforce, plan_exists_pure, random_state_sets
 
@@ -52,6 +53,12 @@ class TestVerifyPlan:
     def test_unknown_state_raises(self, ex1):
         with pytest.raises(ValueError, match="unknown state"):
             verify_plan(ex1, {"nope"}, {"s2"}, ())
+
+    def test_unknown_action_is_named(self, ex1):
+        with pytest.raises(ValueError, match=r"^unknown action 'zz'$"):
+            verify_plan(ex1, iter(["s1"]), iter(["s2"]), iter(["r", "zz", "u"]))
+        with pytest.raises(ValueError, match=r"^unknown action 'zz'$"):
+            verify_plan(ex1, frozenset(), frozenset(), ("zz",))
 
     def test_first_violation_scans_starts_in_declaration_order(self):
         # Both starts get stuck immediately; the declaration-first start wins.
@@ -104,6 +111,169 @@ class TestFindPlan:
             "trans x m g\ntrans x n g\n"
         )
         assert find_plan(model, {"x"}, {"g"}).witness == ("n",)
+
+
+def _verify_with_empty_plan(model, starts, goals):
+    return verify_plan(model, starts, goals, ())
+
+
+@pytest.mark.parametrize("search", [find_plan, _verify_with_empty_plan])
+class TestUnknownStates:
+    """The error names the least unknown state, also when the states
+    arrive as an iterator that can be read only once."""
+
+    def test_start_set(self, ex1, search):
+        for starts in (["s1", "zzz", "s2", "zz", "zz9"], iter(["zzz", "s1", "zz"])):
+            with pytest.raises(ValueError, match=r"^start set mentions unknown state 'zz'$"):
+                search(ex1, starts, ["s4"])
+
+    def test_goal_set(self, ex1, search):
+        goals = (state for state in ["s4", "yyy", "yy", "s7", "yz"])
+        with pytest.raises(ValueError, match=r"^goal set mentions unknown state 'yy'$"):
+            search(ex1, iter(["s2"]), goals)
+
+    def test_start_set_is_checked_first(self, ex1, search):
+        with pytest.raises(ValueError, match=r"^start set mentions unknown state 'zz'$"):
+            search(ex1, iter(["zz"]), iter(["yy"]))
+
+    def test_one_shot_iterators_of_known_states(self, ex1, search):
+        starts, goals = ex1.labelled("q"), ex1.labelled("q")
+        assert search(ex1, iter(starts), iter(goals)) == search(ex1, starts, goals)
+
+
+# --- String-set references for find_plan and verify_plan -----------------------
+
+
+def _successor_sets(model: Model) -> dict[str, dict[str, frozenset[str]]]:
+    """Successor sets by action and source, read from the declared edges."""
+    succ: dict[str, dict[str, frozenset[str]]] = {}
+    for action in model.actions:
+        by_src: dict[str, set[str]] = {}
+        for src, dst in model.transitions[action]:
+            by_src.setdefault(src, set()).add(dst)
+        succ[action] = {src: frozenset(dsts) for src, dsts in by_src.items()}
+    return succ
+
+
+def reference_find_plan(model: Model, starts: frozenset, goals: frozenset):
+    """Breadth-first search over frozensets of state names, expanding
+    actions in declaration order; returns (decision, witness, explored)
+    with ``explored`` the number of beliefs dequeued."""
+    succ = _successor_sets(model)
+    queue = deque([(starts, ())])
+    seen = {starts}
+    explored = 0
+    while queue:
+        belief, plan = queue.popleft()
+        explored += 1
+        if belief <= goals:
+            return True, plan, explored
+        for action in model.actions:
+            if any(s not in succ[action] for s in belief):
+                continue
+            image = frozenset(t for s in belief for t in succ[action][s])
+            if image not in seen:
+                seen.add(image)
+                queue.append((image, plan + (action,)))
+    return False, None, explored
+
+
+def reference_verify_plan(model: Model, starts: frozenset, goals: frozenset, plan) -> PlanCheck:
+    """The per-start definition over sets of state names: the first
+    violation by start, then step, then state, all in declaration order."""
+    succ = _successor_sets(model)
+    for start in (s for s in model.states if s in starts):
+        reached = {start}
+        for step, action in enumerate(plan):
+            stuck = [s for s in model.states if s in reached and s not in succ[action]]
+            if stuck:
+                return PlanCheck(False, "stuck", start, step, action, stuck[0])
+            reached = {t for s in reached for t in succ[action][s]}
+        outside = [s for s in model.states if s in reached and s not in goals]
+        if outside:
+            return PlanCheck(False, "endpoint", start, None, None, outside[0])
+    return PlanCheck(True)
+
+
+def _random_model(rng: random.Random) -> Model:
+    """1-8 states and 1-3 actions.  Half the models give each edge a
+    per-model density; the other half give each state one or two
+    successors per action, or none with a per-model chance, so that
+    beliefs rarely get stuck and searches run deeper."""
+    states = tuple(f"s{i}" for i in range(1, rng.randint(1, 8) + 1))
+    actions = ("a", "b", "c")[: rng.randint(1, 3)]
+    transitions = {}
+    if rng.getrandbits(1):
+        density = rng.choice((0.15, 0.3, 0.5, 0.7))
+        for a in actions:
+            transitions[a] = {(src, dst) for src in states for dst in states if rng.random() < density}
+    else:
+        gap = rng.choice((0.0, 0.1, 0.3))
+        for a in actions:
+            transitions[a] = {
+                (src, dst)
+                for src in states
+                if rng.random() >= gap
+                for dst in rng.sample(states, rng.randint(1, min(2, len(states))))
+            }
+    return Model(states, actions, transitions, {})
+
+
+def _random_case(rng: random.Random, case: int):
+    """A model with a start set and a goal set.  Every tenth start set and
+    every tenth goal set is empty; every other goal set is the belief
+    reached from the starts by a random action sequence."""
+    model = _random_model(rng)
+    starts = frozenset(s for s in model.states if rng.getrandbits(1))
+    if case % 10 == 0:
+        starts = frozenset()
+    if case % 10 == 5:
+        goals = frozenset()
+    elif case % 2:
+        succ, goals = _successor_sets(model), starts
+        for _ in range(rng.randint(1, 6)):
+            action = rng.choice(model.actions)
+            goals = frozenset(t for s in goals for t in succ[action].get(s, ()))
+    else:
+        goals = frozenset(s for s in model.states if rng.getrandbits(1))
+    return model, starts, goals
+
+
+class TestAgainstStringSetReference:
+    CASES = 1000
+
+    def test_find_plan_decision_witness_and_explored(self):
+        rng = random.Random(2015)
+        empty_starts = empty_goals = 0
+        lengths = set()
+        for case in range(self.CASES):
+            model, starts, goals = _random_case(rng, case)
+            result = find_plan(model, starts, goals)
+            assert (result.decision, result.witness, result.explored) == reference_find_plan(
+                model, starts, goals
+            ), (case, model.transitions, starts, goals)
+            empty_starts += not starts
+            empty_goals += not goals
+            lengths.add(None if result.witness is None else len(result.witness))
+        assert empty_starts >= 100 and empty_goals >= 100
+        assert {None, 0, 1, 2, 3, 4, 5} <= lengths, lengths
+
+    def test_verify_plan_every_field(self):
+        rng = random.Random(2016)
+        kinds = {None: 0, "stuck": 0, "endpoint": 0}
+        for case in range(self.CASES):
+            model, starts, goals = _random_case(rng, case)
+            plans = [tuple(rng.choice(model.actions) for _ in range(rng.randint(0, 5))) for _ in range(4)]
+            witness = find_plan(model, starts, goals).witness
+            if witness is not None:
+                plans.append(witness)
+            for plan in plans:
+                check = verify_plan(model, starts, goals, plan)
+                assert check == reference_verify_plan(model, starts, goals, plan), (
+                    case, model.transitions, starts, goals, plan,
+                )
+                kinds[check.kind] += 1
+        assert min(kinds.values()) >= 500, kinds
 
 
 class TestAgainstBruteForce:
