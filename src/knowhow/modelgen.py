@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 
 from .models import Model
 from .proofs import AXIOM_SCHEMAS, theorem_db
-from .semantics import check_U, ext, holds
+from .semantics import Program, _compile, _run, check_U, ext, holds
 from .syntax import (
     _ATOM_NAME,
     KEYWORDS,
@@ -37,7 +37,6 @@ from .syntax import (
     Not,
     U,
     atom_names,
-    substitute_all,
 )
 
 __all__ = [
@@ -164,13 +163,16 @@ def find_countermodel(
     """First generated model and state falsifying ``phi``, or None.
 
     Deterministic given ``cfg``.  ``limit`` caps how many models are tried
-    (required for random mode).  A hit is confirmed by an independent
-    re-evaluation before being returned.
+    (required for random mode).  ``phi`` is normalized and compiled once
+    for the whole search.  A hit is confirmed by an independent
+    re-evaluation through :func:`holds` before being returned.
     """
+    program = _compile(phi)
     for model in generate(cfg, limit):
-        truth = ext(model, phi)
-        if len(truth) != len(model.states):
-            state = next(s for s in model.states if s not in truth)
+        everything = (1 << len(model.states)) - 1
+        missing = everything & ~_run(program, model, model._letters, {})
+        if missing:
+            state = model.states[(missing & -missing).bit_length() - 1]
             if holds(model, state, phi):
                 raise RuntimeError("countermodel confirmation failed")
             return model, state
@@ -196,17 +198,30 @@ class AuditReport:
         return not self.violations
 
 
-def _audit_schemas() -> tuple[tuple[str, Formula, tuple[str, ...]], ...]:
+def _audit_schemas() -> tuple[tuple[str, Program, tuple[str, ...]], ...]:
+    """Name, compiled program and sorted letters of every audited schema."""
     named: list[tuple[str, Formula]] = list(AXIOM_SCHEMAS.items())
     named += [(entry.name, entry.formula) for entry in theorem_db()]
-    return tuple((name, schema, tuple(sorted(atom_names(schema)))) for name, schema in named)
+    return tuple(
+        (name, _compile(schema), tuple(sorted(atom_names(schema)))) for name, schema in named
+    )
 
 
 def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
     """Evaluate the axiom validities, the derived theorems, the two
     evaluation routes for ``U`` and the ``Khp`` expansion on every
     generated model, under all assignments of schema letters to
-    ``cfg.letters``.  The report lists violations; expected none."""
+    ``cfg.letters``.  The report lists violations; expected none.
+
+    No instance formula is built.  By the substitution lemma, the
+    extension of ``schema[x := y, ...]`` on a model is the extension of
+    ``schema`` with each letter ``x`` read as the extension of ``y``; it
+    holds by induction on the schema, because ``Kh`` reads only the
+    extensions of its two arguments.  So each schema is normalized and
+    compiled once per audit and run once per model and assignment over
+    the letter masks, with one ``Kh`` decision memo per model.  The ``U``
+    and ``Khp`` checks go through the public :func:`ext` and
+    :func:`check_U` on built formulas, as a second route."""
     if not cfg.letters:
         raise ValueError("the audit needs at least one proposition letter")
     schemas = _audit_schemas()
@@ -217,11 +232,14 @@ def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
     for number, model in enumerate(generate(cfg, count), start=1):
         models_checked += 1
         everything = frozenset(model.states)
-        for name, schema, schema_letters in schemas:
+        full = (1 << len(model.states)) - 1
+        masks = model._letters
+        decisions: dict[tuple[int, int], int] = {}
+        for name, program, schema_letters in schemas:
             for combo in product(cfg.letters, repeat=len(schema_letters)):
-                instance = substitute_all(schema, dict(zip(schema_letters, (atoms[x] for x in combo))))
+                env = {x: masks.get(y, 0) for x, y in zip(schema_letters, combo)}
                 instances += 1
-                if ext(model, instance) != everything:
+                if _run(program, model, env, decisions) != full:
                     violations.append(
                         AuditViolation(number, name, tuple(zip(schema_letters, combo)), model)
                     )

@@ -50,11 +50,12 @@ class Model:
     action in ``_moves``: a pair of the "can move" mask (bit *i* set iff
     the *i*-th declared state has an edge labelled with that action) and
     a tuple holding, for each state index, the mask of its successors.
-    A set of states is an ``int`` with bit *i* for the *i*-th declared
-    state, so equal sets are equal ints.
+    ``_letters`` maps each letter true somewhere to the mask of the
+    states labelled with it.  A set of states is an ``int`` with bit *i*
+    for the *i*-th declared state, so equal sets are equal ints.
     """
 
-    __slots__ = ("states", "actions", "transitions", "valuation", "_index", "_moves")
+    __slots__ = ("states", "actions", "transitions", "valuation", "_index", "_moves", "_letters")
 
     def __init__(
         self,
@@ -92,7 +93,12 @@ class Model:
         for s in valuation:
             if s not in index:
                 raise ValueError(f"valuation mentions undeclared state {s!r}")
-        val = {s: frozenset(valuation.get(s, ())) for s in states}
+        val: dict[str, frozenset[str]] = {}
+        letters: dict[str, int] = {}
+        for i, s in enumerate(states):
+            val[s] = frozenset(valuation.get(s, ()))
+            for letter in val[s]:
+                letters[letter] = letters.get(letter, 0) | 1 << i
 
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
@@ -100,6 +106,7 @@ class Model:
         object.__setattr__(self, "valuation", val)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_moves", moves)
+        object.__setattr__(self, "_letters", letters)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Model is immutable")
@@ -181,7 +188,7 @@ class Model:
 
     def labelled(self, letter: str) -> frozenset[str]:
         """States whose valuation contains ``letter``."""
-        return frozenset(s for s in self.states if letter in self.valuation[s])
+        return frozenset(self._names(self._letters.get(letter, 0)))
 
 
 def _check_id(token: str, what: str, line_no: int) -> str:

@@ -147,7 +147,13 @@ def find_plan(model: Model, starts: Iterable[str], goals: Iterable[str]) -> Plan
     plan, ties broken by action declaration order.
     """
     root = model._mask(starts, "start set mentions ")
-    outside_goal = ~model._mask(goals, "goal set mentions ")
+    return _search(model, root, model._mask(goals, "goal set mentions "))
+
+
+def _search(model: Model, root: int, goal: int) -> PlanResult:
+    """:func:`find_plan` on masks: the start mask ``root`` and the goal
+    mask ``goal``."""
+    outside_goal = ~goal
     moves = [(a, ~can, succ) for a, (can, succ) in model._moves.items()]
 
     queue: deque[tuple[int, Plan]] = deque([(root, ())])

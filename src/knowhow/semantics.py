@@ -1,49 +1,105 @@
 """Global evaluation of formulas over a model.
 
 Truth is computed as *extensions* (sets of states) bottom-up rather than
-pointwise: ``Kh(cond, goal)`` holds either at every state or at none, so
-each Kh subformula costs exactly one plan search.  Formulas are
-normalized to the core connectives first, and subformula extensions are
-memoized per call (no cross-call cache, so concurrent evaluations over
-the same immutable model are safe).
+pointwise.  A set of states is an ``int`` mask, bit *i* for the *i*-th
+declared state, as in the planner.  A formula is normalized to the core
+connectives and compiled into a program that lists each distinct node
+once, after its operands.  Compiling and running the program over masks
+use no recursion, so only :func:`~knowhow.syntax.normalize`, which guards
+itself, hands deep formulas to a worker thread.
+
+``Kh(cond, goal)`` holds either at every state or at none, and reads only
+the extensions of its two arguments.  Its decision is looked up by the
+pair ``(cond mask, goal mask)`` in a ``decisions`` dict that the caller
+passes in, so each distinct pair costs one plan search however many Kh
+nodes share it.  The dict belongs to one model and one caller: there is
+no cross-call cache, so concurrent evaluations over the same immutable
+model are safe.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
+from typing import Mapping
+
 from .models import Model
-from .planning import find_plan
-from .syntax import And, Atom, Formula, Kh, Not, Top, _guarded, normalize
+from .planning import _search
+from .syntax import And, Atom, Formula, Kh, Not, Top, normalize
 
 __all__ = ["ext", "holds", "check_U"]
 
+# Op codes of a compiled program.  An op is (code, a, b): for _ATOM, ``a``
+# is the atom name; for _NOT, ``a`` is the operand's position; for _AND and
+# _KH, ``a`` and ``b`` are the positions of the two operands.
+_TOP, _ATOM, _NOT, _AND, _KH = range(5)
+_HEIGHT = attrgetter("height")
 
-def _eval(model: Model, phi: Formula, memo: dict[Formula, frozenset[str]], everything: frozenset[str]) -> frozenset[str]:
-    found = memo.get(phi)
-    if found is not None:
-        return found
-    if isinstance(phi, Top):
-        result = everything
-    elif isinstance(phi, Atom):
-        result = model.labelled(phi.name)
-    elif isinstance(phi, Not):
-        result = everything - _eval(model, phi.child, memo, everything)
-    elif isinstance(phi, And):
-        result = _eval(model, phi.left, memo, everything) & _eval(model, phi.right, memo, everything)
-    elif isinstance(phi, Kh):
-        cond = _eval(model, phi.cond, memo, everything)
-        goal = _eval(model, phi.goal, memo, everything)
-        result = everything if find_plan(model, cond, goal).decision else frozenset()
-    else:
-        raise TypeError(f"not a core formula: {phi!r}")
-    memo[phi] = result
-    return result
+Program = tuple[tuple, ...]
+
+
+def _compile(phi: Formula) -> Program:
+    """The program of ``normalize(phi)``: every distinct node (by
+    identity) once, each after its operands, so the last op is the root.
+    A node is higher than each of its children, so ordering the nodes by
+    their cached height puts operands first."""
+    nodes: dict[int, Formula] = {}
+    stack = [normalize(phi)]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack += node.kids
+    order = sorted(nodes.values(), key=_HEIGHT)
+    slot = {id(node): i for i, node in enumerate(order)}
+    ops: list[tuple] = []
+    for node in order:
+        kind = type(node)
+        if kind is Not:
+            ops.append((_NOT, slot[id(node.child)], None))
+        elif kind is And:
+            ops.append((_AND, slot[id(node.left)], slot[id(node.right)]))
+        elif kind is Atom:
+            ops.append((_ATOM, node.name, None))
+        elif kind is Kh:
+            ops.append((_KH, slot[id(node.cond)], slot[id(node.goal)]))
+        elif kind is Top:
+            ops.append((_TOP, None, None))
+        else:
+            raise TypeError(f"not a core formula: {node!r}")
+    return tuple(ops)
+
+
+def _run(
+    program: Program, model: Model, env: Mapping[str, int], decisions: dict[tuple[int, int], int]
+) -> int:
+    """The mask where the compiled formula holds, reading each atom's mask
+    from ``env`` (absent atoms hold nowhere).  ``decisions`` maps a pair
+    ``(cond mask, goal mask)`` to the mask of a Kh node with those operand
+    extensions; it must only ever be used with this one model."""
+    everything = (1 << len(model.states)) - 1
+    values: list[int] = []
+    for code, a, b in program:
+        if code == _NOT:
+            values.append(everything ^ values[a])
+        elif code == _AND:
+            values.append(values[a] & values[b])
+        elif code == _ATOM:
+            values.append(env.get(a, 0))
+        elif code == _KH:
+            pair = (values[a], values[b])
+            found = decisions.get(pair)
+            if found is None:
+                found = decisions[pair] = everything if _search(model, *pair).decision else 0
+            values.append(found)
+        else:
+            values.append(everything)
+    return values[-1]
 
 
 def ext(model: Model, phi: Formula) -> frozenset[str]:
     """The extension of ``phi``: the set of states where it is true."""
-    core = normalize(phi)
-    everything = frozenset(model.states)
-    return _guarded(core, lambda: _eval(model, core, {}, everything))
+    mask = _run(_compile(phi), model, model._letters, {})
+    return frozenset(model._names(mask))
 
 
 def holds(model: Model, state: str, phi: Formula) -> bool:

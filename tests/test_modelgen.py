@@ -1,9 +1,21 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from knowhow import (
+    AuditReport,
+    AuditViolation,
+    Atom,
     GenConfig,
+    Implies,
+    Kh,
+    KhPlus,
+    Not,
+    U,
+    atom_names,
+    check_U,
     exhaustive_size,
     ext,
     find_countermodel,
@@ -12,7 +24,11 @@ from knowhow import (
     holds,
     parse_formula,
     soundness_audit,
+    substitute_all,
+    theorem_db,
 )
+import knowhow.proofs as proofs
+from knowhow.semantics import _compile, _run
 
 
 class TestGenConfig:
@@ -177,3 +193,71 @@ class TestSoundnessAudit:
         report = soundness_audit(cfg, 40)
         assert report.models_checked == 40
         assert report.ok
+
+
+def _schemas():
+    named = list(proofs.AXIOM_SCHEMAS.items()) + [(e.name, e.formula) for e in theorem_db()]
+    return [(name, schema, sorted(atom_names(schema))) for name, schema in named]
+
+
+def _substitute_route_audit(cfg, count):
+    """The audit by its definition: every instance built with
+    substitute_all and evaluated afresh through ext."""
+    violations = []
+    instances = 0
+    models = list(generate(cfg, count))
+    for number, model in enumerate(models, start=1):
+        everything = frozenset(model.states)
+        for name, schema, letters in _schemas():
+            for combo in product(cfg.letters, repeat=len(letters)):
+                instances += 1
+                instance = substitute_all(schema, {x: Atom(y) for x, y in zip(letters, combo)})
+                if ext(model, instance) != everything:
+                    violations.append(AuditViolation(number, name, tuple(zip(letters, combo)), model))
+        for x in cfg.letters:
+            instances += 1
+            if check_U(model, Atom(x)) != (ext(model, U(Atom(x))) == everything):
+                violations.append(AuditViolation(number, "U-ROUTE", (("p", x),), model))
+        for x, y in product(cfg.letters, repeat=2):
+            phi = Implies(Atom(x), Atom(y))
+            instances += 1
+            if check_U(model, phi) != (ext(model, U(phi)) == everything):
+                violations.append(AuditViolation(number, "U-ROUTE", (("p", x), ("q", y)), model))
+            instances += 1
+            expanded = ext(model, Kh(Atom(x), Atom(y))) & ext(model, Not(U(phi)))
+            if ext(model, KhPlus(Atom(x), Atom(y))) != expanded:
+                violations.append(AuditViolation(number, "KHPLUS-DEF", (("p", x), ("q", y)), model))
+    return AuditReport(len(models), instances, tuple(violations))
+
+
+class TestAuditRoutes:
+    """The audit runs each compiled schema over letter masks; by the
+    substitution lemma that must equal evaluating each built instance."""
+
+    def test_compiled_schema_equals_built_instance(self):
+        cfg = GenConfig(max_states=4, max_actions=2, letters=("p", "q", "r"), seed=606)
+        programs = [(schema, _compile(schema), letters) for _, schema, letters in _schemas()]
+        compared = 0
+        for model in generate(cfg, 200):
+            masks = model._letters
+            decisions = {}
+            for schema, program, letters in programs:
+                for combo in product(cfg.letters, repeat=len(letters)):
+                    env = {x: masks.get(y, 0) for x, y in zip(letters, combo)}
+                    compiled = model._names(_run(program, model, env, decisions))
+                    instance = substitute_all(schema, {x: Atom(y) for x, y in zip(letters, combo)})
+                    assert frozenset(compiled) == ext(model, instance), (schema, combo)
+                    compared += 1
+        assert compared > 200 * len(programs)
+
+    def test_clean_report_equals_substitute_route(self):
+        cfg = GenConfig(max_states=4, max_actions=2, letters=("p", "q"), seed=607)
+        assert soundness_audit(cfg, 30) == _substitute_route_audit(cfg, 30)
+
+    def test_planted_wrong_schema_same_violations_in_same_order(self, monkeypatch):
+        wrong = parse_formula("Kh(p, q) & Kh(p, r) -> Kh(p, q & r)")
+        monkeypatch.setitem(proofs.AXIOM_SCHEMAS, "GOAL-CONJ", wrong)
+        cfg = GenConfig(max_states=4, max_actions=2, letters=("p", "q", "r"), seed=608)
+        report = soundness_audit(cfg, 40)
+        assert report == _substitute_route_audit(cfg, 40)
+        assert report.violations and {v.schema for v in report.violations} == {"GOAL-CONJ"}

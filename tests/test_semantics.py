@@ -18,7 +18,9 @@ from knowhow import (
     U,
     atom_names,
     check_U,
+    exhaustive_size,
     ext,
+    format_model,
     generate,
     holds,
     is_tautology,
@@ -28,6 +30,8 @@ from knowhow import (
     substitute_all,
     theorem_db,
 )
+
+import knowhow.semantics as semantics
 
 from helpers import plan_exists_bruteforce, random_formula
 
@@ -177,6 +181,18 @@ def _ext_reference(model, phi):
     return frozenset(model.states) if works else frozenset()
 
 
+NESTED_KH = [
+    parse_formula(text)
+    for text in (
+        "Kh(Kh(p, q), q)",
+        "p & ~Kh(q, p) | Kh(p & ~Kh(q, p), U q)",
+        "Khp(p, Kh(q, ~p)) | q",
+        "Kh(~Kh(p, ~q), Kh(top, p) -> q) -> p",
+        "Kh(Kh(Kh(p, q), ~p), Kh(q, Kh(~q, p))) & ~Kh(p, q)",
+    )
+]
+
+
 class TestAgainstPointwiseReference:
     def test_extension_evaluator_matches_literal_definition(self):
         rng = random.Random(808)
@@ -185,6 +201,46 @@ class TestAgainstPointwiseReference:
             for _ in range(2):
                 phi = random_formula(rng, ("p", "q"), depth=3)
                 assert ext(model, phi) == _ext_reference(model, phi)
+
+    def test_nested_kh_on_exhaustive_two_state_space(self):
+        cfg = GenConfig(max_states=2, max_actions=2, letters=("p", "q"), mode="exhaustive")
+        models = 0
+        for model in generate(cfg):
+            models += 1
+            for phi in NESTED_KH:
+                assert ext(model, phi) == _ext_reference(model, phi), (format_model(model), phi)
+        assert models == exhaustive_size(cfg) == 4096
+
+    def test_extensionally_equal_kh_nodes_cost_one_search(self, ex1, monkeypatch):
+        searches = []
+        search = semantics._search
+
+        def counting(model, root, goal):
+            searches.append((root, goal))
+            return search(model, root, goal)
+
+        monkeypatch.setattr(semantics, "_search", counting)
+        phi = parse_formula("Kh(p, q) & Kh(p & p, q) & ~~Kh(~~p, q | q) & Kh(p | bot, q & top)")
+        assert ext(ex1, phi) == frozenset(ex1.states)
+        assert len(searches) == 1
+
+
+class TestDeepNesting:
+    # The evaluator runs a compiled program without recursion, on the
+    # caller's thread; only normalize hands deep formulas to a worker.
+
+    def test_deep_negation_chain(self, ex1):
+        assert ext(ex1, parse_formula("~" * 9_990 + "p")) == {"s2", "s3"}
+        assert ext(ex1, parse_formula("~" * 9_989 + "p")) == {"s1", "s4", "s5", "s6", "s7", "s8"}
+
+    def test_deep_kh_nesting(self, ex1):
+        p, q = Atom("p"), Atom("q")
+        cond_nested = alternating = p
+        for level in range(3_000):
+            cond_nested = Kh(cond_nested, q)
+            alternating = Kh(alternating, q) if level % 2 else Not(Kh(p, alternating))
+        assert ext(ex1, cond_nested) == frozenset()
+        assert ext(ex1, alternating) == frozenset(ex1.states)
 
 
 class TestTautologiesAreValid:
