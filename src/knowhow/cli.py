@@ -18,6 +18,7 @@ document whose fields mirror the text and whose first key is
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import NamedTuple, Optional
@@ -209,7 +210,10 @@ def cmd_audit(args: argparse.Namespace) -> Result:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Parsing leaves it
+    unchanged, so every :func:`main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="knowhow",
         description=(

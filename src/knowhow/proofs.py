@@ -20,7 +20,10 @@ Equality of formulas is taken up to :func:`~knowhow.syntax.normalize` for
 axiom instances, modus ponens and necessitation, so lines spelled with
 ``U`` unify with their ``Kh(~phi, bot)`` expansions; substitution and
 hypothesis citations are checked structurally, since substitution is a
-purely syntactic rule.
+purely syntactic rule.  Formulas are interned, so both checks compare
+identities: structural equality is ``is``, and equality up to
+normalization is ``normalize(a) is normalize(b)``, O(1) once each side's
+normal form is cached.
 
 Proof file format (UTF-8; ``#`` starts a comment)::
 
@@ -283,7 +286,7 @@ def is_tautology(phi: Formula) -> bool:
 
 
 def _norm_equal(a: Formula, b: Formula) -> bool:
-    return normalize(a) == normalize(b)
+    return normalize(a) is normalize(b)
 
 
 def _check_line(
@@ -326,7 +329,7 @@ def _check_line(
         if not 1 <= just.premise < line.index:
             return f"reference to line {just.premise} is out of range"
         expected = substitute(earlier[just.premise - 1], just.letter, just.replacement)
-        if line.formula != expected:
+        if line.formula is not expected:
             return (
                 f"not the result of substituting {just.letter!r} in line {just.premise}"
             )
@@ -334,7 +337,7 @@ def _check_line(
     if isinstance(just, Hyp):
         if not 1 <= just.index <= len(hypotheses):
             return f"hypothesis index {just.index} is out of range"
-        if line.formula != hypotheses[just.index - 1]:
+        if line.formula is not hypotheses[just.index - 1]:
             return f"does not match hypothesis {just.index}"
         return None
     return f"unknown justification {just!r}"

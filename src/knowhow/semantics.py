@@ -38,30 +38,30 @@ Program = tuple[tuple, ...]
 
 
 def _compile(phi: Formula) -> Program:
-    """The program of ``normalize(phi)``: every distinct node (by
-    identity) once, each after its operands, so the last op is the root.
+    """The program of ``normalize(phi)``: every distinct node once (equal
+    nodes are one object), each after its operands, so the last op is the root.
     A node is higher than each of its children, so ordering the nodes by
     their cached height puts operands first."""
-    nodes: dict[int, Formula] = {}
+    nodes: dict[Formula, None] = {}  # insertion-ordered, for a deterministic program
     stack = [normalize(phi)]
     while stack:
         node = stack.pop()
-        if id(node) not in nodes:
-            nodes[id(node)] = node
+        if node not in nodes:
+            nodes[node] = None
             stack += node.kids
-    order = sorted(nodes.values(), key=_HEIGHT)
-    slot = {id(node): i for i, node in enumerate(order)}
+    order = sorted(nodes, key=_HEIGHT)
+    slot = {node: i for i, node in enumerate(order)}
     ops: list[tuple] = []
     for node in order:
         kind = type(node)
         if kind is Not:
-            ops.append((_NOT, slot[id(node.child)], None))
+            ops.append((_NOT, slot[node.child], None))
         elif kind is And:
-            ops.append((_AND, slot[id(node.left)], slot[id(node.right)]))
+            ops.append((_AND, slot[node.left], slot[node.right]))
         elif kind is Atom:
             ops.append((_ATOM, node.name, None))
         elif kind is Kh:
-            ops.append((_KH, slot[id(node.cond)], slot[id(node.goal)]))
+            ops.append((_KH, slot[node.cond], slot[node.goal]))
         elif kind is Top:
             ops.append((_TOP, None, None))
         else:

@@ -20,7 +20,13 @@ Grammar (whitespace between tokens is insignificant)::
 
 Atom names match ``[a-z][a-zA-Z0-9_]*`` and must not be keywords.  The
 maximum nesting depth of a parsed formula is 10,000; deeper input is a
-hard error.  All values are immutable and all functions are pure.
+hard error.
+
+Formula nodes are immutable and interned through one process-wide weak
+table, whose miss path publishes under a lock (see :class:`Formula`), so
+structurally equal formulas are one object and ``==`` is ``is``.  Each node
+caches its normal form.  Apart from the table and those caches, which never
+change a result, all functions are pure.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from __future__ import annotations
 import re
 import sys
 import threading
+import weakref
 from dataclasses import dataclass
-from operator import is_
 from typing import Callable, Mapping, NamedTuple, TypeVar
 
 __all__ = [
@@ -67,110 +73,141 @@ _ATOM_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 class Formula:
     """Base class of all formula nodes.
 
+    Nodes are interned (hash-consed): constructing a node looks it up in
+    one process-wide table keyed by ``(class, *kids)``, or ``(Atom, name)``,
+    and only a miss builds a new node.  So structurally equal formulas are
+    one object, ``==`` is ``is`` and the hash is the identity hash.  The
+    table holds its nodes weakly: an entry leaves it when its node dies, so
+    it holds only live formulas.  A miss validates the atom name (or the
+    arity), builds the node and then, under ``_TABLE_LOCK``, publishes it
+    unless another thread published the same formula first, in which case
+    that node is returned; so two threads building the same formula get the
+    same object.
+
     Each node caches its children (``kids``, left to right), its ``height``
-    (a leaf has height 1) and its hash, computed once at construction from
-    the children's cached values; equality is an iterative walk.
+    (a leaf has height 1) and, once :func:`normalize` has seen it, its
+    normal form.
     """
 
-    def __post_init__(self) -> None:
-        # Every field of a non-atom node is a child, and at this point the
-        # instance dict holds just the fields.  Writing the dict directly
-        # keeps construction cheap; the dataclass stays frozen.
-        cache = self.__dict__
-        kids = cache["kids"] = tuple(cache.values())
-        cache["height"] = 1 + max([k.height for k in kids], default=0)
-        cache["_hash"] = hash((type(self), kids))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Formula):
-            return NotImplemented
-        stack = [(self, other)]
-        seen: set[tuple[int, int]] = set()  # pairs already matched; subterms may be shared
-        while stack:
-            a, b = stack.pop()
-            pair = (id(a), id(b))
-            if a is b or pair in seen:
-                continue
-            if a._hash != b._hash or type(a) is not type(b) or (type(a) is Atom and a.name != b.name):
-                return False
-            seen.add(pair)
-            stack.extend(zip(a.kids, b.kids))
-        return True
+    def __new__(cls, *args: object) -> Formula:
+        entry = _TABLE.get((cls, *args))
+        node = entry() if entry is not None else None
+        return node if node is not None else _intern(cls, args)
 
     def __reduce__(self):
-        # Rebuild through __init__: the cached hash is only valid in this process.
+        # Rebuild through the constructor, which re-interns the node.
         return type(self), tuple(getattr(self, f) for f in self.__dataclass_fields__)
 
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True, eq=False)
+class _Entry(weakref.ref):
+    """A table entry: a weak reference to a node, which knows its key."""
+
+    __slots__ = ("key",)
+
+
+_TABLE: dict[tuple, _Entry] = {}
+# Held while an entry is published or removed.  Reentrant, so that a node
+# dying while a thread holds it, whose _forget then runs on that same
+# thread, cannot deadlock.
+_TABLE_LOCK = threading.RLock()
+
+
+def _forget(entry: _Entry, table=_TABLE, lock=_TABLE_LOCK) -> None:
+    # Called when the node dies.  The entry may already have been replaced
+    # by a newer node of the same formula, which must stay.  Defaults bind
+    # the table, so this still works while the interpreter shuts down.
+    with lock:
+        if table.get(entry.key) is entry:
+            del table[entry.key]
+
+
+def _intern(cls: type, args: tuple) -> Formula:
+    fields = cls.__dataclass_fields__
+    if len(args) != len(fields):
+        raise TypeError(f"{cls.__name__} takes {len(fields)} arguments, got {len(args)}")
+    kids = args
+    if cls is Atom:
+        name = args[0]
+        if not _ATOM_NAME.match(name) or name in KEYWORDS:
+            raise ValueError(f"invalid atom name {name!r}")
+        kids = ()
+    node = object.__new__(cls)
+    cache = node.__dict__
+    cache.update(zip(fields, args))
+    cache["kids"] = kids
+    cache["height"] = 1 + max([k.height for k in kids], default=0)
+    cache["_normal"] = None  # see normalize
+    key = (cls, *args)
+    entry = _Entry(node, _forget)
+    entry.key = key
+    with _TABLE_LOCK:
+        published = _TABLE.get(key)
+        found = published() if published is not None else None
+        if found is None:
+            _TABLE[key] = entry
+            return node
+    return found
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Atom(Formula):
     name: str
 
-    def __post_init__(self) -> None:
-        if not _ATOM_NAME.match(self.name) or self.name in KEYWORDS:
-            raise ValueError(f"invalid atom name {self.name!r}")
-        self.__dict__.update(kids=(), height=1, _hash=hash(self.name))
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class U(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Kh(Formula):
     cond: Formula
     goal: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class KhPlus(Formula):
     cond: Formula
     goal: Formula
@@ -498,20 +535,20 @@ def print_formula(phi: Formula) -> str:
 # --- Normalization --------------------------------------------------------
 
 
-_UNCHANGED = object()  # memo value for a node that is its own normal form
+_UNCHANGED = object()  # cached on a node that is its own normal form
 
 
-def _normalize(phi: Formula, memo: dict[Formula, object]) -> Formula:
-    found = memo.get(phi)
-    if found is not None:
-        return phi if found is _UNCHANGED else found
-    kids = [_normalize(k, memo) for k in phi.kids]
+def _normalize(phi: Formula) -> Formula:
+    normal = phi._normal
+    if normal is not None:
+        return phi if normal is _UNCHANGED else normal
+    kids = [_normalize(k) for k in phi.kids]
     if isinstance(phi, (Top, Atom)):
         result = phi
     elif isinstance(phi, Bot):
         result = Not(Top())
     elif isinstance(phi, (Not, And, Kh)):
-        result = phi if all(map(is_, kids, phi.kids)) else type(phi)(*kids)
+        result = type(phi)(*kids)
     elif isinstance(phi, Or):
         result = Not(And(Not(kids[0]), Not(kids[1])))
     elif isinstance(phi, Implies):
@@ -525,7 +562,12 @@ def _normalize(phi: Formula, memo: dict[Formula, object]) -> Formula:
         result = And(Kh(*kids), Not(Kh(Not(implies), Not(Top()))))
     else:
         raise TypeError(f"not a formula: {phi!r}")
-    memo[phi] = _UNCHANGED if result is phi else result
+    # A node never holds itself, which would be a reference cycle that
+    # keeps dead formulas alive until the garbage collector runs.  Threads
+    # that race here compute the same interned result, so either write wins.
+    result.__dict__["_normal"] = _UNCHANGED
+    if result is not phi:
+        phi.__dict__["_normal"] = result
     return result
 
 
@@ -534,13 +576,16 @@ def normalize(phi: Formula) -> Formula:
 
     ``bot``, ``|``, ``->`` and ``<->`` expand classically; ``U a`` becomes
     ``Kh(~a, ~top)`` and ``Khp(a, b)`` becomes ``Kh(a, b) & ~U(a -> b)``
-    (then expanded recursively).  Idempotent, and a subformula already in
-    core form is returned as the same object, so ``normalize(c) is c`` for
-    a core formula ``c``.  Equal subterms are normalized once and shared,
-    so although ``<->`` and ``Khp`` mention their operands twice, the
-    result has size linear in the input.
+    (then expanded recursively).  Idempotent, and ``normalize(c) is c`` for
+    a core formula ``c``.  The normal form is cached on the node (a normal
+    form is marked as its own), so each interned subterm is normalized once
+    per process and a repeated call is O(1).  Although ``<->`` and ``Khp``
+    mention their operands twice, the result shares them, so it has size
+    linear in the input.
     """
-    return _guarded(phi, lambda: _normalize(phi, {}))
+    if phi._normal is None:
+        return _guarded(phi, lambda: _normalize(phi))
+    return _normalize(phi)
 
 
 # --- Substitution ---------------------------------------------------------

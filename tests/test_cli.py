@@ -531,6 +531,35 @@ class TestPinnedOutput:
         )
 
 
+class TestInProcessSequence:
+    def test_each_call_matches_a_fresh_process(self, ex1_path, fixtures_dir, monkeypatch):
+        # One process serves every call, usage errors included; each call
+        # must print and exit exactly as a fresh `knowhow` process does.
+        monkeypatch.setenv("COLUMNS", "80")
+        proof = str(fixtures_dir / "replacement.prf")
+        calls = [
+            ["plan", ex1_path, "p", "q"],
+            ["plan", ex1_path],
+            ["plan", ex1_path, "p", "q", "--json"],
+            ["nonsense"],
+            ["check", ex1_path, "Kh(p, q)"],
+            ["prove", proof, "--json"],
+            ["verify-plan", ex1_path, "p", "q", "r", "u"],
+            ["countermodel", "--seed", "1", "--exhaustive", "p"],
+            ["countermodel", "Kh(p, q) -> q", "--max-states", "2", "--max-actions", "1", "--letters", "p,q"],
+            ["audit", "--models", "2", "--max-states", "2", "--max-actions", "1", "--json"],
+            ["prove", "--help"],
+            ["check", ex1_path, "p &"],
+            ["check", ex1_path, "p & ~p"],
+            ["check", ex1_path, "p"],
+        ]
+        for argv in calls:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "knowhow", *argv], capture_output=True, text=True
+            )
+            assert run_cli(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 # --- Every input ends in exit 0, 1 or 2 -----------------------------------
 
 def _lines(fragments):

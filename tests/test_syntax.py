@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import random
@@ -32,6 +33,7 @@ from knowhow import (
     substitute,
 )
 
+import knowhow.syntax as syntax
 from helpers import random_formula
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
@@ -265,7 +267,7 @@ class TestDepthLimit:
         assert normalize(normalize(phi)) == normalize(phi)
         assert substitute(phi, "p", q) == parse_formula("~" * depth + "q")
         twin = parse_formula("~" * depth + "p")
-        assert twin is not phi
+        assert twin is phi
         assert hash(twin) == hash(phi)
         assert twin == phi
         assert twin != parse_formula("~" * depth + "q")
@@ -310,6 +312,78 @@ class TestDepthLimit:
         too_wide = " | ".join(["p"] * 10_002)
         with pytest.raises(FormulaSyntaxError, match="nesting depth"):
             parse_formula(too_wide)
+
+
+class TestInterning:
+    @given(formulas, formulas)
+    @settings(max_examples=500)
+    def test_identity_is_structural_equality(self, a, b):
+        # parse_formula inverts the printer, so equal text means equal structure.
+        assert (a is b) == (print_formula(a) == print_formula(b))
+        na, nb = normalize(a), normalize(b)
+        assert (na is nb) == (print_formula(na) == print_formula(nb))
+        assert parse_formula(print_formula(a)) is a
+        assert normalize(U(a)) is normalize(Kh(Not(a), Bot()))
+        assert U(a) is not Kh(Not(a), Bot())
+
+    def test_threads_building_the_same_formulas_get_one_object(self):
+        # Fresh letters, so that every node is a miss in each thread.
+        letters = ("race_a", "race_b", "race_c")
+        barrier = threading.Barrier(4)
+        built: list[list] = [[] for _ in range(4)]
+        errors = []
+
+        def work(out):
+            try:
+                barrier.wait(timeout=60)
+                rng = random.Random(17)
+                out.extend(random_formula(rng, letters, depth=8) for _ in range(300))
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(out,)) for out in built]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for formulas_in_each_thread in zip(*built):
+            first = formulas_in_each_thread[0]
+            assert all(phi is first for phi in formulas_in_each_thread)
+            assert parse_formula(print_formula(first)) is first
+
+    def test_unpickled_formula_is_the_same_object(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            phi = random_formula(rng)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(phi, protocol)) is phi
+
+    def test_dropped_deep_formulas_leave_the_table(self):
+        # Built, normalized and dropped on this thread, with the cycle
+        # collector off: dead formulas and their cached normal forms must
+        # leave the table by reference counting alone.
+        gc.collect()
+        baseline = len(syntax._TABLE)
+        gc.disable()
+        try:
+            for _ in range(20):
+                phi = Bot()
+                for _ in range(9_990):
+                    phi = Not(phi)
+                core = normalize(phi)
+                assert core is not phi and normalize(core) is core
+                assert normalize(phi) is core
+                del phi, core
+                assert len(syntax._TABLE) == baseline
+        finally:
+            gc.enable()
 
 
 def test_formula_height():
