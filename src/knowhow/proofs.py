@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from itertools import product
 from typing import Mapping, Optional, Sequence, Union
 
 from .syntax import (
@@ -54,7 +53,7 @@ from .syntax import (
     Not,
     Top,
     U,
-    _guarded,
+    _HEIGHT,
     atom_names,
     normalize,
     parse_formula,
@@ -216,46 +215,9 @@ def instantiate_axiom(name: str, binding: Mapping[str, Formula]) -> Formula:
 # --- Tautology check -------------------------------------------------------
 
 
-def _abstraction_units(core: Formula) -> list[Formula]:
-    """Maximal non-Boolean subformulas (and atoms) of a normalized formula,
-    in first-occurrence order; identical subformulas share a unit."""
-    units: list[Formula] = []
-    seen: set[Formula] = set()  # subterms may be shared: visit each once
-    stack = [core]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if isinstance(node, (Atom, Kh)):
-            units.append(node)
-        elif isinstance(node, (Not, And)):
-            stack.extend(reversed(node.kids))
-        elif not isinstance(node, Top):
-            raise TypeError(f"not a core formula: {node!r}")
-    return units
-
-
-def _truth(phi: Formula, env: dict[Formula, bool]) -> bool:
-    """Truth value of ``phi`` given its units' values in ``env``.
-
-    Subterms may be shared, so the value of each ``And`` node is cached in
-    ``env`` too and computed once per assignment; a tree walk would double
-    its work with each level of sharing.  ``Not`` is unary and stays
-    uncached, which keeps the common unshared case as cheap as a tree walk.
-    """
-    if isinstance(phi, Not):
-        return not _truth(phi.child, env)
-    if isinstance(phi, And):
-        value = env.get(phi)
-        if value is None:
-            value = env[phi] = _truth(phi.left, env) and _truth(phi.right, env)
-        return value
-    if isinstance(phi, (Atom, Kh)):
-        return env[phi]
-    if isinstance(phi, Top):
-        return True
-    raise TypeError(f"not a core formula: {phi!r}")
+# A block of truth-table rows holds every assignment to the first 12
+# units, one row per bit of an int (4,096 bits, 512 bytes, per node).
+_BLOCK_UNITS = 12
 
 
 def is_tautology(phi: Formula) -> bool:
@@ -265,21 +227,54 @@ def is_tautology(phi: Formula) -> bool:
     ``Khp`` included, via their expansions) is abstracted to a fresh
     propositional unit; identical subformulas share a unit.  Raises
     :class:`TautologyBudgetError` beyond 20 distinct units.
+
+    The truth table is computed in row blocks: a node's value over a block
+    is an ``int`` with one bit per row, the first 12 units vary within a
+    block, and each block fixes the remaining units.  Each distinct
+    Boolean node is evaluated once per block, children first.
     """
     core = normalize(phi)
-
-    def run() -> bool:
-        units = _abstraction_units(core)
-        if len(units) > TAUTOLOGY_LETTER_BUDGET:
-            raise TautologyBudgetError(
-                f"{len(units)} abstraction units exceed the budget of {TAUTOLOGY_LETTER_BUDGET}"
-            )
-        for bits in product((False, True), repeat=len(units)):
-            if not _truth(core, dict(zip(units, bits))):
-                return False
-        return True
-
-    return _guarded(core, run)
+    units: list[Formula] = []
+    connectives: list[Formula] = []  # the Top, Not and And nodes above the units
+    seen: set[Formula] = set()
+    stack = [core]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if isinstance(node, (Atom, Kh)):
+            units.append(node)
+        elif isinstance(node, (Top, Not, And)):
+            connectives.append(node)
+            stack += node.kids
+        else:
+            raise TypeError(f"not a core formula: {node!r}")
+    if len(units) > TAUTOLOGY_LETTER_BUDGET:
+        raise TautologyBudgetError(
+            f"{len(units)} abstraction units exceed the budget of {TAUTOLOGY_LETTER_BUDGET}"
+        )
+    connectives.sort(key=_HEIGHT)
+    inner = min(len(units), _BLOCK_UNITS)
+    full = (1 << (1 << inner)) - 1  # every row of a block
+    # Unit j < inner is true in row r iff bit j of r is set, so its column
+    # repeats 2**j clear bits, then 2**j set bits.  full // (2**2**j + 1)
+    # sets the low 2**j bits of each such pair of runs; the shift moves them up.
+    columns = [full // ((1 << (1 << j)) + 1) << (1 << j) for j in range(inner)]
+    for block in range(1 << (len(units) - inner)):
+        outer = [full if block >> j & 1 else 0 for j in range(len(units) - inner)]
+        value = dict(zip(units, columns + outer))
+        for node in connectives:
+            kind = type(node)
+            if kind is Not:
+                value[node] = full ^ value[node.child]
+            elif kind is And:
+                value[node] = value[node.left] & value[node.right]
+            else:
+                value[node] = full
+        if value[core] != full:
+            return False
+    return True
 
 
 # --- Proof checking --------------------------------------------------------

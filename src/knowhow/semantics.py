@@ -4,9 +4,9 @@ Truth is computed as *extensions* (sets of states) bottom-up rather than
 pointwise.  A set of states is an ``int`` mask, bit *i* for the *i*-th
 declared state, as in the planner.  A formula is normalized to the core
 connectives and compiled into a program that lists each distinct node
-once, after its operands.  Compiling and running the program over masks
-use no recursion, so only :func:`~knowhow.syntax.normalize`, which guards
-itself, hands deep formulas to a worker thread.
+once, after its operands.  Like every formula operation, compiling and
+running the program walk explicit stacks and loops, never recursion, so
+formulas nested to the 10,000-level limit evaluate on the caller's thread.
 
 ``Kh(cond, goal)`` holds either at every state or at none, and reads only
 the extensions of its two arguments.  Its decision is looked up by the
@@ -19,12 +19,11 @@ model are safe.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Mapping
 
 from .models import Model
 from .planning import _search
-from .syntax import And, Atom, Formula, Kh, Not, Top, normalize
+from .syntax import And, Atom, Formula, Kh, Not, Top, _subterms, normalize
 
 __all__ = ["ext", "holds", "check_U"]
 
@@ -32,24 +31,14 @@ __all__ = ["ext", "holds", "check_U"]
 # is the atom name; for _NOT, ``a`` is the operand's position; for _AND and
 # _KH, ``a`` and ``b`` are the positions of the two operands.
 _TOP, _ATOM, _NOT, _AND, _KH = range(5)
-_HEIGHT = attrgetter("height")
 
 Program = tuple[tuple, ...]
 
 
 def _compile(phi: Formula) -> Program:
     """The program of ``normalize(phi)``: every distinct node once (equal
-    nodes are one object), each after its operands, so the last op is the root.
-    A node is higher than each of its children, so ordering the nodes by
-    their cached height puts operands first."""
-    nodes: dict[Formula, None] = {}  # insertion-ordered, for a deterministic program
-    stack = [normalize(phi)]
-    while stack:
-        node = stack.pop()
-        if node not in nodes:
-            nodes[node] = None
-            stack += node.kids
-    order = sorted(nodes, key=_HEIGHT)
+    nodes are one object), each after its operands, so the last op is the root."""
+    order = _subterms(normalize(phi))
     slot = {node: i for i, node in enumerate(order)}
     ops: list[tuple] = []
     for node in order:

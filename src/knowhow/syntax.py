@@ -32,11 +32,11 @@ change a result, all functions are pure.
 from __future__ import annotations
 
 import re
-import sys
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, TypeVar
+from operator import attrgetter
+from typing import Mapping, NamedTuple
 
 __all__ = [
     "Formula",
@@ -223,78 +223,27 @@ def formula_height(phi: Formula) -> int:
     return phi.height
 
 
-def atom_names(phi: Formula) -> frozenset[str]:
-    """All atom names occurring in ``phi``."""
-    names: set[str] = set()
+_HEIGHT = attrgetter("height")
+
+
+def _subterms(phi: Formula) -> list[Formula]:
+    """The distinct subterms of ``phi`` (equal nodes are one object), each
+    after its children, so ``phi`` comes last.  A node is higher than each
+    of its children, so ordering the nodes by their cached height puts
+    children first."""
+    seen: dict[Formula, None] = {}  # insertion-ordered, for a deterministic order
     stack = [phi]
     while stack:
         node = stack.pop()
-        if isinstance(node, Atom):
-            names.add(node.name)
-        else:
-            stack.extend(children(node))
-    return frozenset(names)
+        if node not in seen:
+            seen[node] = None
+            stack += node.kids
+    return sorted(seen, key=_HEIGHT)
 
 
-# --- Deep-recursion guard -------------------------------------------------
-#
-# CPython's main thread segfaults well below the recursion depths the
-# 10,000-level nesting contract requires, so operations on large inputs are
-# shipped to a worker thread with a big stack.  `threading.stack_size` and
-# the recursion limit are process-global, hence the lock: the first deep
-# call raises the limit before its worker starts, and the last one to finish
-# restores it, so concurrent deep calls never lower it under each other.
-
-_INLINE_TOKEN_LIMIT = 1_500
-_INLINE_HEIGHT_LIMIT = 1_500
-_WORKER_STACK_BYTES = 256 * 1024 * 1024
-_WORKER_RECURSION_LIMIT = 150_000
-_SPAWN_LOCK = threading.Lock()
-_deep_workers = 0  # running deep workers; guarded by _SPAWN_LOCK
-_saved_recursion_limit = 0  # the limit before the first of them started
-
-_T = TypeVar("_T")
-
-
-def _run_deep(fn: Callable[[], _T]) -> _T:
-    global _deep_workers, _saved_recursion_limit
-    results: list[_T] = []
-    errors: list[BaseException] = []
-
-    def runner() -> None:
-        try:
-            results.append(fn())
-        except BaseException as exc:  # re-raised in the caller
-            errors.append(exc)
-
-    with _SPAWN_LOCK:
-        if _deep_workers == 0:
-            _saved_recursion_limit = sys.getrecursionlimit()
-            sys.setrecursionlimit(max(_saved_recursion_limit, _WORKER_RECURSION_LIMIT))
-        _deep_workers += 1
-    try:
-        with _SPAWN_LOCK:
-            old_size = threading.stack_size(_WORKER_STACK_BYTES)
-            try:
-                thread = threading.Thread(target=runner, name="knowhow-deep")
-                thread.start()
-            finally:
-                threading.stack_size(old_size)
-        thread.join()
-    finally:
-        with _SPAWN_LOCK:
-            _deep_workers -= 1
-            if _deep_workers == 0:
-                sys.setrecursionlimit(_saved_recursion_limit)
-    if errors:
-        raise errors[0]
-    return results[0]
-
-
-def _guarded(phi: Formula, fn: Callable[[], _T]) -> _T:
-    if formula_height(phi) > _INLINE_HEIGHT_LIMIT:
-        return _run_deep(fn)
-    return fn()
+def atom_names(phi: Formula) -> frozenset[str]:
+    """All atom names occurring in ``phi``."""
+    return frozenset(node.name for node in _subterms(phi) if type(node) is Atom)
 
 
 # --- Tokenizer ------------------------------------------------------------
@@ -346,119 +295,36 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # --- Parser ---------------------------------------------------------------
+#
+# Recursive descent over the grammar above, run as one loop.  Where the
+# grammar would call itself for an operand, the parser pushes a continuation
+# (what is left to do once that operand is complete) and parses the operand;
+# a complete operand pops the top continuation and is handed to it.  Every
+# continuation records the nesting depth of the operands it waits for.
+#
+#   (_CONJ, d, left)     conj: unary operands at depth d; `left` is the
+#                        conjunction so far, None before the first operand
+#   (_DISJ, d, left)     disj, the same over conj operands
+#   (_PHI, d)            phi at depth d, once its disj is complete
+#   (_APPLY, cls, *args) the last operand of cls: of '~' or 'U', or the
+#                        right side of `left ->` (a phi) or `left <->` (a disj)
+#   (_KH, cls, d, cond)  the condition (cond None) or goal of Kh or Khp
+#   (_PAREN,)            the phi inside '(' ... ')'
+#   (_END,)              the whole formula, which must end the input
+
+_CONJ, _DISJ, _PHI, _APPLY, _KH, _PAREN, _END = range(7)
 
 _UNARY_EXPECTED = ("'~'", "'U'", "'Kh'", "'Khp'", "'top'", "'bot'", "identifier", "'('")
+_END_EXPECTED = ("'->'", "'<->'", "'|'", "'&'", "end of input")
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
+def _unexpected(tok: _Token, expected: tuple[str, ...]) -> FormulaSyntaxError:
+    what = "end of input" if tok.kind == "end" else f"token {tok.text!r}"
+    return FormulaSyntaxError(f"unexpected {what}", tok.pos, expected)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, expected: tuple[str, ...]) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise FormulaSyntaxError(
-                f"unexpected {self._describe(tok)}", tok.pos, expected
-            )
-        return self.advance()
-
-    @staticmethod
-    def _describe(tok: _Token) -> str:
-        return "end of input" if tok.kind == "end" else f"token {tok.text!r}"
-
-    def _check_depth(self, depth: int, pos: int) -> None:
-        if depth > MAX_NESTING_DEPTH:
-            raise FormulaSyntaxError(
-                f"nesting depth exceeds {MAX_NESTING_DEPTH}", pos
-            )
-
-    def parse(self) -> Formula:
-        phi = self.phi(1)
-        tok = self.peek()
-        if tok.kind != "end":
-            raise FormulaSyntaxError(
-                f"unexpected {self._describe(tok)}",
-                tok.pos,
-                ("'->'", "'<->'", "'|'", "'&'", "end of input"),
-            )
-        return phi
-
-    def phi(self, depth: int) -> Formula:
-        left = self.disj(depth)
-        tok = self.peek()
-        if tok.kind == "->":
-            self.advance()
-            self._check_depth(depth + 1, tok.pos)
-            return Implies(left, self.phi(depth + 1))
-        if tok.kind == "<->":
-            self.advance()
-            self._check_depth(depth + 1, tok.pos)
-            return Iff(left, self.disj(depth + 1))
-        return left
-
-    def disj(self, depth: int) -> Formula:
-        node = self.conj(depth)
-        d = depth
-        while self.peek().kind == "|":
-            tok = self.advance()
-            d += 1
-            self._check_depth(d, tok.pos)
-            node = Or(node, self.conj(d))
-        return node
-
-    def conj(self, depth: int) -> Formula:
-        node = self.unary(depth)
-        d = depth
-        while self.peek().kind == "&":
-            tok = self.advance()
-            d += 1
-            self._check_depth(d, tok.pos)
-            node = And(node, self.unary(d))
-        return node
-
-    def unary(self, depth: int) -> Formula:
-        tok = self.peek()
-        self._check_depth(depth, tok.pos)
-        if tok.kind == "~":
-            self.advance()
-            return Not(self.unary(depth + 1))
-        if tok.kind == "U":
-            self.advance()
-            return U(self.unary(depth + 1))
-        if tok.kind in ("Kh", "Khp"):
-            self.advance()
-            self.expect("(", ("'('",))
-            cond = self.phi(depth + 1)
-            self.expect(",", ("','",))
-            goal = self.phi(depth + 1)
-            self.expect(")", ("')'",))
-            return Kh(cond, goal) if tok.kind == "Kh" else KhPlus(cond, goal)
-        if tok.kind == "top":
-            self.advance()
-            return Top()
-        if tok.kind == "bot":
-            self.advance()
-            return Bot()
-        if tok.kind == "ident":
-            self.advance()
-            return Atom(tok.text)
-        if tok.kind == "(":
-            self.advance()
-            inner = self.phi(depth + 1)
-            self.expect(")", ("')'",))
-            return inner
-        raise FormulaSyntaxError(
-            f"unexpected {self._describe(tok)}", tok.pos, _UNARY_EXPECTED
-        )
+def _too_deep(tok: _Token) -> FormulaSyntaxError:
+    return FormulaSyntaxError(f"nesting depth exceeds {MAX_NESTING_DEPTH}", tok.pos)
 
 
 def parse_formula(text: str) -> Formula:
@@ -468,9 +334,96 @@ def parse_formula(text: str) -> Formula:
     the set of expected tokens on malformed input.
     """
     tokens = _tokenize(text)
-    if len(tokens) > _INLINE_TOKEN_LIMIT:
-        return _run_deep(_Parser(tokens).parse)
-    return _Parser(tokens).parse()
+    i = 0
+    depth = 1  # of the unary formula to parse next
+    stack: list[tuple] = [(_END,), (_PHI, 1), (_DISJ, 1, None), (_CONJ, 1, None)]
+    value = None  # the operand just completed; None while parsing a unary
+    while True:
+        tok = tokens[i]
+        kind = tok.kind
+        if value is None:
+            if depth > MAX_NESTING_DEPTH:
+                raise _too_deep(tok)
+            i += 1
+            if kind == "ident":
+                value = Atom(tok.text)
+            elif kind == "~" or kind == "U":
+                stack.append((_APPLY, Not if kind == "~" else U))
+                depth += 1
+            elif kind == "(":
+                depth += 1
+                stack += (_PAREN,), (_PHI, depth), (_DISJ, depth, None), (_CONJ, depth, None)
+            elif kind == "Kh" or kind == "Khp":
+                if tokens[i].kind != "(":
+                    raise _unexpected(tokens[i], ("'('",))
+                i += 1
+                depth += 1
+                cls = Kh if kind == "Kh" else KhPlus
+                stack += (_KH, cls, depth, None), (_PHI, depth), (_DISJ, depth, None), (_CONJ, depth, None)
+            elif kind == "top":
+                value = Top()
+            elif kind == "bot":
+                value = Bot()
+            else:
+                raise _unexpected(tok, _UNARY_EXPECTED)
+            continue
+        frame = stack.pop()
+        code = frame[0]
+        if code == _CONJ:
+            if frame[2] is not None:
+                value = And(frame[2], value)
+            if kind == "&":
+                i += 1
+                depth = frame[1] + 1
+                if depth > MAX_NESTING_DEPTH:
+                    raise _too_deep(tok)
+                stack.append((_CONJ, depth, value))
+                value = None
+        elif code == _DISJ:
+            if frame[2] is not None:
+                value = Or(frame[2], value)
+            if kind == "|":
+                i += 1
+                depth = frame[1] + 1
+                if depth > MAX_NESTING_DEPTH:
+                    raise _too_deep(tok)
+                stack += (_DISJ, depth, value), (_CONJ, depth, None)
+                value = None
+        elif code == _PHI:
+            if kind == "->" or kind == "<->":
+                i += 1
+                depth = frame[1] + 1
+                if depth > MAX_NESTING_DEPTH:
+                    raise _too_deep(tok)
+                if kind == "->":
+                    stack += (_APPLY, Implies, value), (_PHI, depth), (_DISJ, depth, None), (_CONJ, depth, None)
+                else:
+                    stack += (_APPLY, Iff, value), (_DISJ, depth, None), (_CONJ, depth, None)
+                value = None
+        elif code == _APPLY:
+            value = frame[1](*frame[2:], value)
+        elif code == _PAREN:
+            if kind != ")":
+                raise _unexpected(tok, ("')'",))
+            i += 1
+        elif code == _KH:
+            _, cls, d, cond = frame
+            if cond is None:
+                if kind != ",":
+                    raise _unexpected(tok, ("','",))
+                i += 1
+                depth = d
+                stack += (_KH, cls, d, value), (_PHI, d), (_DISJ, d, None), (_CONJ, d, None)
+                value = None
+            else:
+                if kind != ")":
+                    raise _unexpected(tok, ("')'",))
+                i += 1
+                value = cls(cond, value)
+        else:  # _END
+            if kind != "end":
+                raise _unexpected(tok, _END_EXPECTED)
+            return value
 
 
 # --- Printer --------------------------------------------------------------
@@ -483,92 +436,54 @@ _LEVEL_AND = 3
 _LEVEL_UNARY = 4
 _LEVEL_ATOM = 5
 
-
-def _level(phi: Formula) -> int:
-    if isinstance(phi, (Implies, Iff)):
-        return _LEVEL_IMP
-    if isinstance(phi, Or):
-        return _LEVEL_OR
-    if isinstance(phi, And):
-        return _LEVEL_AND
-    if isinstance(phi, (Not, U)):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
-
-
-def _print(phi: Formula) -> str:
-    if isinstance(phi, Top):
-        return "top"
-    if isinstance(phi, Bot):
-        return "bot"
-    if isinstance(phi, Atom):
-        return phi.name
-    if isinstance(phi, Not):
-        return "~" + _print_at(phi.child, _LEVEL_UNARY)
-    if isinstance(phi, U):
-        return "U " + _print_at(phi.child, _LEVEL_UNARY)
-    if isinstance(phi, And):
-        return _print_at(phi.left, _LEVEL_AND) + " & " + _print_at(phi.right, _LEVEL_AND + 1)
-    if isinstance(phi, Or):
-        return _print_at(phi.left, _LEVEL_OR) + " | " + _print_at(phi.right, _LEVEL_OR + 1)
-    if isinstance(phi, Implies):
-        return _print_at(phi.left, _LEVEL_IMP + 1) + " -> " + _print_at(phi.right, _LEVEL_IMP)
-    if isinstance(phi, Iff):
-        return _print_at(phi.left, _LEVEL_IMP + 1) + " <-> " + _print_at(phi.right, _LEVEL_IMP + 1)
-    if isinstance(phi, Kh):
-        return f"Kh({_print(phi.cond)}, {_print(phi.goal)})"
-    if isinstance(phi, KhPlus):
-        return f"Khp({_print(phi.cond)}, {_print(phi.goal)})"
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def _print_at(phi: Formula, min_level: int) -> str:
-    text = _print(phi)
-    return "(" + text + ")" if _level(phi) < min_level else text
+# Each node type's level, the text before its first child and, for each
+# child, the level below which it is printed in parentheses and the text
+# after it.
+_LAYOUT: dict[type, tuple[int, str, tuple[tuple[int, str], ...]]] = {
+    Top: (_LEVEL_ATOM, "top", ()),
+    Bot: (_LEVEL_ATOM, "bot", ()),
+    Not: (_LEVEL_UNARY, "~", ((_LEVEL_UNARY, ""),)),
+    U: (_LEVEL_UNARY, "U ", ((_LEVEL_UNARY, ""),)),
+    And: (_LEVEL_AND, "", ((_LEVEL_AND, " & "), (_LEVEL_AND + 1, ""))),
+    Or: (_LEVEL_OR, "", ((_LEVEL_OR, " | "), (_LEVEL_OR + 1, ""))),
+    Implies: (_LEVEL_IMP, "", ((_LEVEL_IMP + 1, " -> "), (_LEVEL_IMP, ""))),
+    Iff: (_LEVEL_IMP, "", ((_LEVEL_IMP + 1, " <-> "), (_LEVEL_IMP + 1, ""))),
+    Kh: (_LEVEL_ATOM, "Kh(", ((0, ", "), (0, ")"))),
+    KhPlus: (_LEVEL_ATOM, "Khp(", ((0, ", "), (0, ")"))),
+}
 
 
 def print_formula(phi: Formula) -> str:
     """Concrete syntax for ``phi``; ``parse_formula`` inverts it exactly."""
-    return _guarded(phi, lambda: _print(phi))
+    out: list[str] = []
+    stack: list = [(phi, 0)]  # (node, min level) pairs and text still to print
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, min_level = item
+        if type(node) is Atom:
+            out.append(node.name)
+            continue
+        layout = _LAYOUT.get(type(node))
+        if layout is None:
+            raise TypeError(f"not a formula: {node!r}")
+        level, prefix, slots = layout
+        if level < min_level:
+            out.append("(")
+            stack.append(")")
+        out.append(prefix)
+        for kid, (kid_level, after) in zip(reversed(node.kids), reversed(slots)):
+            stack.append(after)
+            stack.append((kid, kid_level))
+    return "".join(out)
 
 
 # --- Normalization --------------------------------------------------------
 
 
 _UNCHANGED = object()  # cached on a node that is its own normal form
-
-
-def _normalize(phi: Formula) -> Formula:
-    normal = phi._normal
-    if normal is not None:
-        return phi if normal is _UNCHANGED else normal
-    kids = [_normalize(k) for k in phi.kids]
-    if isinstance(phi, (Top, Atom)):
-        result = phi
-    elif isinstance(phi, Bot):
-        result = Not(Top())
-    elif isinstance(phi, (Not, And, Kh)):
-        result = type(phi)(*kids)
-    elif isinstance(phi, Or):
-        result = Not(And(Not(kids[0]), Not(kids[1])))
-    elif isinstance(phi, Implies):
-        result = Not(And(kids[0], Not(kids[1])))
-    elif isinstance(phi, Iff):  # (a -> b) & (b -> a)
-        result = And(Not(And(kids[0], Not(kids[1]))), Not(And(kids[1], Not(kids[0]))))
-    elif isinstance(phi, U):
-        result = Kh(Not(kids[0]), Not(Top()))
-    elif isinstance(phi, KhPlus):  # Kh(a, b) & ~U(a -> b)
-        implies = Not(And(kids[0], Not(kids[1])))
-        result = And(Kh(*kids), Not(Kh(Not(implies), Not(Top()))))
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-    # A node never holds itself, which would be a reference cycle that
-    # keeps dead formulas alive until the garbage collector runs.  Threads
-    # that race here compute the same interned result, so either write wins.
-    result.__dict__["_normal"] = _UNCHANGED
-    if result is not phi:
-        phi.__dict__["_normal"] = result
-    return result
 
 
 def normalize(phi: Formula) -> Formula:
@@ -584,26 +499,60 @@ def normalize(phi: Formula) -> Formula:
     linear in the input.
     """
     if phi._normal is None:
-        return _guarded(phi, lambda: _normalize(phi))
-    return _normalize(phi)
+        # The subterms with no normal form yet, rewritten children first.
+        pending: dict[Formula, None] = {}
+        stack = [phi]
+        while stack:
+            node = stack.pop()
+            if node._normal is None and node not in pending:
+                pending[node] = None
+                stack += node.kids
+        for node in sorted(pending, key=_HEIGHT):
+            kids = [k if k._normal is _UNCHANGED else k._normal for k in node.kids]
+            if isinstance(node, (Top, Atom)):
+                result = node
+            elif isinstance(node, Bot):
+                result = Not(Top())
+            elif isinstance(node, (Not, And, Kh)):
+                result = type(node)(*kids)
+            elif isinstance(node, Or):
+                result = Not(And(Not(kids[0]), Not(kids[1])))
+            elif isinstance(node, Implies):
+                result = Not(And(kids[0], Not(kids[1])))
+            elif isinstance(node, Iff):  # (a -> b) & (b -> a)
+                result = And(Not(And(kids[0], Not(kids[1]))), Not(And(kids[1], Not(kids[0]))))
+            elif isinstance(node, U):
+                result = Kh(Not(kids[0]), Not(Top()))
+            elif isinstance(node, KhPlus):  # Kh(a, b) & ~U(a -> b)
+                implies = Not(And(kids[0], Not(kids[1])))
+                result = And(Kh(*kids), Not(Kh(Not(implies), Not(Top()))))
+            else:
+                raise TypeError(f"not a formula: {node!r}")
+            # A node never holds itself, which would be a reference cycle
+            # that keeps dead formulas alive until the garbage collector
+            # runs.  Threads that race here compute the same interned
+            # result, so either write wins.
+            result.__dict__["_normal"] = _UNCHANGED
+            if result is not node:
+                node.__dict__["_normal"] = result
+    normal = phi._normal
+    return phi if normal is _UNCHANGED else normal
 
 
 # --- Substitution ---------------------------------------------------------
-
-
-def _substitute_all(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
-    if isinstance(phi, Atom):
-        return mapping.get(phi.name, phi)
-    if not phi.kids:
-        return phi
-    return type(phi)(*(_substitute_all(k, mapping) for k in phi.kids))
 
 
 def substitute_all(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Simultaneously replace every atom named in ``mapping``."""
     if not mapping:
         return phi
-    return _guarded(phi, lambda: _substitute_all(phi, mapping))
+    image: dict[Formula, Formula] = {}
+    for node in _subterms(phi):
+        if type(node) is Atom:
+            image[node] = mapping.get(node.name, node)
+        else:
+            image[node] = type(node)(*[image[k] for k in node.kids])
+    return image[phi]
 
 
 def substitute(phi: Formula, letter: str, replacement: Formula) -> Formula:

@@ -53,6 +53,16 @@ class TestCheck:
         assert code == 1
         assert out.splitlines()[0] == "TRUE AT: (none)"
 
+    def test_nested_kh_at_mid_depth(self, ex1_path):
+        formula = "Kh(" * 500 + "p" + ", q)" * 500
+        proc = subprocess.run(
+            [sys.executable, "-m", "knowhow", "check", ex1_path, formula],
+            capture_output=True,
+            text=True,
+        )
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout) == (1, "TRUE AT: (none)\nGLOBAL-FALSE\n")
+
     def test_u_rooted_gets_global_verdict(self, ex1_path):
         code, out, _ = run_cli("check", ex1_path, "U top")
         assert code == 0
@@ -179,6 +189,18 @@ class TestProve:
             f"5. {'~' * 9_000}q ; sub 3 p q\n"
             f"6. U(p -> {deep}) -> Kh(p, {deep}) ; axiom EMP p=p q={deep}\n"
         )
+        proc = subprocess.run(
+            [sys.executable, "-m", "knowhow", "prove", str(proof)],
+            capture_output=True,
+            text=True,
+        )
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout) == (0, "ACCEPTED\n")
+
+    def test_taut_line_at_mid_depth(self, tmp_path):
+        deep = "~" * 600 + "p"
+        proof = tmp_path / "mid.prf"
+        proof.write_text(f"1. ({deep}) -> ({deep}) ; taut\n")
         proc = subprocess.run(
             [sys.executable, "-m", "knowhow", "prove", str(proof)],
             capture_output=True,

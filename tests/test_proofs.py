@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -66,6 +67,28 @@ class TestIsTautology:
         wide_21 = " | ".join(f"Kh(x{i}, x{i})" for i in range(21))
         with pytest.raises(TautologyBudgetError):
             is_tautology(parse_formula(wide_21))
+
+    def test_twenty_units_decided_quickly(self):
+        conj = " & ".join(f"a{i}" for i in range(20))
+        cases = [
+            (f"({conj}) -> a0", True),
+            (" & ".join(f"(a{i} | ~a{i})" for i in range(20)), True),
+            (f"~({conj})", False),  # false only in the last row of the table
+            (" | ".join(f"a{i}" for i in range(20)), False),  # false only in the first
+        ]
+        for text, valid in cases:
+            start = time.perf_counter()
+            assert is_tautology(parse_formula(text)) is valid
+            assert time.perf_counter() - start < 2.0
+
+    def test_every_unit_varies_across_row_blocks(self):
+        # The falsifying row of "others -> a_j" sets every unit but a_j, so
+        # a unit fixed wrongly within a block, or across blocks, shows.
+        units = [f"a{i}" for i in range(13)] + [f"Kh(b{i}, c)" for i in range(7)]
+        for j, unit in enumerate(units):
+            others = " & ".join(u for k, u in enumerate(units) if k != j)
+            assert not is_tautology(parse_formula(f"{others} -> {unit}"))
+            assert is_tautology(parse_formula(f"{others} & {unit} -> {unit}"))
 
 
 class TestAxiomInstantiation:

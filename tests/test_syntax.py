@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,12 +26,17 @@ from knowhow import (
     Top,
     U,
     atom_names,
+    check_proof,
     children,
+    ext,
     formula_height,
+    is_tautology,
     normalize,
     parse_formula,
+    parse_proof,
     print_formula,
     substitute,
+    substitute_all,
 )
 
 import knowhow.syntax as syntax
@@ -118,6 +124,38 @@ class TestParse:
             parse_formula("(p | q")
         assert exc.value.offset == 7
         assert "')'" in exc.value.expected
+
+        # One input per error site of the parser: the full message, offset
+        # and expected tokens.
+        unary = ("'~'", "'U'", "'Kh'", "'Khp'", "'top'", "'bot'", "identifier", "'('")
+        end = ("'->'", "'<->'", "'|'", "'&'", "end of input")
+        m = 10_000
+        cases = [
+            ("Kh p", "unexpected token 'p' at offset 4 (expected '(')", 4, ("'('",)),
+            ("Kh(p q)", "unexpected token 'q' at offset 6 (expected ',')", 6, ("','",)),
+            ("Kh(p, q", "unexpected end of input at offset 8 (expected ')')", 8, ("')'",)),
+            ("(p | q", "unexpected end of input at offset 7 (expected ')')", 7, ("')'",)),
+            ("p &", "unexpected end of input at offset 4 (expected " + " or ".join(unary) + ")", 4, unary),
+            ("~)", "unexpected token ')' at offset 2 (expected " + " or ".join(unary) + ")", 2, unary),
+            ("p q", "unexpected token 'q' at offset 3 (expected " + " or ".join(end) + ")", 3, end),
+            ("p <-> q <-> r", "unexpected token '<->' at offset 9 (expected " + " or ".join(end) + ")", 9, end),
+            ("Kh(p, q))", "unexpected token ')' at offset 9 (expected " + " or ".join(end) + ")", 9, end),
+            ("~" * (m + 1) + "p", "nesting depth exceeds 10000 at offset 10001", 10_001, ()),
+            ("(" * (m + 1) + "p" + ")" * (m + 1), "nesting depth exceeds 10000 at offset 10001", 10_001, ()),
+            ("Kh(" * (m + 1) + "p" + ", q)" * (m + 1), "nesting depth exceeds 10000 at offset 30001", 30_001, ()),
+            (" & ".join(["p"] * (m + 1)), "nesting depth exceeds 10000 at offset 39999", 39_999, ()),
+            (" | ".join(["p"] * (m + 1)), "nesting depth exceeds 10000 at offset 39999", 39_999, ()),
+            (" -> ".join(["p"] * (m + 1)), "nesting depth exceeds 10000 at offset 49998", 49_998, ()),
+            ("~" * (m - 2) + "(p <-> q)", "nesting depth exceeds 10000 at offset 10002", 10_002, ()),
+        ]
+        for text, message, offset, expected in cases:
+            with pytest.raises(FormulaSyntaxError) as exc:
+                parse_formula(text)
+            assert (str(exc.value), exc.value.offset, exc.value.expected) == (message, offset, expected)
+        # The depth errors above are raised at ~, (, Kh, &, |, -> and <->.
+        assert [text[offset - 1 : offset + 2] for text, _, offset, _ in cases[9:]] == [
+            "~p", "(p)", "Kh(", "& p", "| p", "-> ", "<->"
+        ]
 
     def test_unknown_keyword(self):
         with pytest.raises(FormulaSyntaxError, match="unknown keyword 'Up'"):
@@ -312,6 +350,55 @@ class TestDepthLimit:
         too_wide = " | ".join(["p"] * 10_002)
         with pytest.raises(FormulaSyntaxError, match="nesting depth"):
             parse_formula(too_wide)
+
+    @pytest.mark.parametrize("depth", [300, 520, 1_000, 1_499])
+    def test_mid_depth_on_the_callers_thread(self, depth, ex1):
+        phi = parse_formula("~" * depth + "p")
+        assert formula_height(phi) == depth + 1
+        assert parse_formula("(" * depth + "p" + ")" * depth) is p
+        assert print_formula(phi) == "~" * depth + "p"
+        core = normalize(phi)
+        assert normalize(core) is core
+        assert substitute_all(phi, {"p": q}) is parse_formula("~" * depth + "q")
+        assert atom_names(phi) == {"p"}
+        assert is_tautology(Implies(phi, phi))
+        assert not is_tautology(phi)
+        assert ext(ex1, phi) == ext(ex1, p if depth % 2 == 0 else Not(p))
+
+    def test_no_worker_thread_or_recursion_limit(self, ex1, monkeypatch):
+        # Every operation walks explicit stacks on the caller's thread, so
+        # none may touch the recursion limit or start a thread.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a formula operation tried to change the process")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        monkeypatch.setattr(threading, "stack_size", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        depth = 9_990
+        deep = "~" * depth + "p"
+        phi = parse_formula(deep)
+        assert print_formula(phi) == deep
+        assert normalize(normalize(phi)) is normalize(phi)
+        assert substitute(phi, "p", q) is parse_formula("~" * depth + "q")
+        assert ext(ex1, phi) == {"s2", "s3"}
+        proof = parse_proof(
+            f"1. {deep} -> {deep} ; taut\n"
+            f"2. U({deep} -> {deep}) ; necu 1\n"
+            f"3. U({deep} -> {deep}) -> Kh({deep}, {deep}) ; axiom EMP p={deep} q={deep}\n"
+            f"4. Kh({deep}, {deep}) ; mp 2 3\n"
+        )
+        assert check_proof(proof.proof)
+
+    def test_atom_names_of_shared_normal_form_is_linear(self):
+        # normalize shares both operands of every <->, so a tree walk over
+        # the normal form would double with each level.
+        nested = "q"
+        for _ in range(40):
+            nested = f"p <-> ({nested})"
+        core = normalize(parse_formula(nested))
+        start = time.perf_counter()
+        assert atom_names(core) == {"p", "q"}
+        assert time.perf_counter() - start < 1.0
 
 
 class TestInterning:
