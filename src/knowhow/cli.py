@@ -24,17 +24,11 @@ import sys
 from typing import NamedTuple, Optional
 
 from .modelgen import GenConfig, find_countermodel, soundness_audit
-from .models import Model, ModelFormatError, format_model, parse_model
+from .models import Model, format_model, parse_model
 from .planning import find_plan, verify_plan
-from .proofs import (
-    ProofFormatError,
-    TautologyBudgetError,
-    check_proof_under,
-    format_verdict,
-    parse_proof,
-)
+from .proofs import check_proof_under, format_verdict, parse_proof
 from .semantics import ext
-from .syntax import Formula, FormulaSyntaxError, Kh, KhPlus, U, parse_formula
+from .syntax import Formula, Kh, KhPlus, U, parse_formula
 
 __all__ = ["main", "console_main"]
 
@@ -280,14 +274,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.stdout.write("\n")
         else:
             print(result.text)
-    except (
-        FormulaSyntaxError,
-        ModelFormatError,
-        ProofFormatError,
-        TautologyBudgetError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if result.ok else 1

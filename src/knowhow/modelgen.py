@@ -28,7 +28,6 @@ from .proofs import AXIOM_SCHEMAS, theorem_db
 from .semantics import Program, _compile, _run, check_U, ext, holds
 from .syntax import (
     _ATOM_NAME,
-    KEYWORDS,
     Atom,
     Formula,
     Implies,
@@ -82,9 +81,11 @@ class GenConfig:
                 "exhaustive bounds exceeded: need max_states <= "
                 f"{EXHAUSTIVE_MAX_STATES} and max_actions <= {EXHAUSTIVE_MAX_ACTIONS}"
             )
-        for letter in self.letters:
-            if not _ATOM_NAME.match(letter) or letter in KEYWORDS:
+        for i, letter in enumerate(self.letters):
+            if not _ATOM_NAME.match(letter):
                 raise ValueError(f"bad proposition letter {letter!r}")
+            if letter in self.letters[:i]:
+                raise ValueError(f"duplicate proposition letter {letter!r}")
 
 
 def _state_names(n: int) -> tuple[str, ...]:
@@ -213,7 +214,7 @@ def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
     generated model, under all assignments of schema letters to
     ``cfg.letters``.  The report lists violations; expected none.
 
-    No instance formula is built.  By the substitution lemma, the
+    No schema instance is built.  By the substitution lemma, the
     extension of ``schema[x := y, ...]`` on a model is the extension of
     ``schema`` with each letter ``x`` read as the extension of ``y``; it
     holds by induction on the schema, because ``Kh`` reads only the
@@ -221,11 +222,20 @@ def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
     compiled once per audit and run once per model and assignment over
     the letter masks, with one ``Kh`` decision memo per model.  The ``U``
     and ``Khp`` checks go through the public :func:`ext` and
-    :func:`check_U` on built formulas, as a second route."""
+    :func:`check_U` on formulas built once per audit, as a second route."""
     if not cfg.letters:
         raise ValueError("the audit needs at least one proposition letter")
     schemas = _audit_schemas()
+    # The U-ROUTE checks (phi, U phi) and the KHPLUS-DEF checks
+    # (Khp(x, y), Kh(x, y), ~U(x -> y)), in report order.
     atoms = {x: Atom(x) for x in cfg.letters}
+    routes = [("U-ROUTE", (("p", x),), (atoms[x], U(atoms[x]))) for x in cfg.letters]
+    for x, y in product(cfg.letters, repeat=2):
+        p, q = atoms[x], atoms[y]
+        phi = Implies(p, q)
+        assignment = (("p", x), ("q", y))
+        routes.append(("U-ROUTE", assignment, (phi, U(phi))))
+        routes.append(("KHPLUS-DEF", assignment, (KhPlus(p, q), Kh(p, q), Not(U(phi)))))
     violations: list[AuditViolation] = []
     models_checked = 0
     instances = 0
@@ -243,18 +253,14 @@ def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
                     violations.append(
                         AuditViolation(number, name, tuple(zip(schema_letters, combo)), model)
                     )
-        for x in cfg.letters:
+        for name, assignment, formulas in routes:
             instances += 1
-            phi = atoms[x]
-            if check_U(model, phi) != (ext(model, U(phi)) == everything):
-                violations.append(AuditViolation(number, "U-ROUTE", (("p", x),), model))
-        for x, y in product(cfg.letters, repeat=2):
-            phi = Implies(atoms[x], atoms[y])
-            instances += 1
-            if check_U(model, phi) != (ext(model, U(phi)) == everything):
-                violations.append(AuditViolation(number, "U-ROUTE", (("p", x), ("q", y)), model))
-            instances += 1
-            expanded = ext(model, Kh(atoms[x], atoms[y])) & ext(model, Not(U(phi)))
-            if ext(model, KhPlus(atoms[x], atoms[y])) != expanded:
-                violations.append(AuditViolation(number, "KHPLUS-DEF", (("p", x), ("q", y)), model))
+            if name == "U-ROUTE":
+                phi, u_phi = formulas
+                ok = check_U(model, phi) == (ext(model, u_phi) == everything)
+            else:
+                khp, kh, not_u = formulas
+                ok = ext(model, khp) == ext(model, kh) & ext(model, not_u)
+            if not ok:
+                violations.append(AuditViolation(number, name, assignment, model))
     return AuditReport(models_checked, instances, tuple(violations))

@@ -12,7 +12,7 @@ File format (UTF-8, one declaration per line)::
     action <name>                    # optional explicit declaration
     trans <src> <action> <dst>       # one labelled edge
 
-Ids match ``[A-Za-z0-9_]+``.  Declaration order of ``state`` lines fixes
+Ids match ``[A-Za-z0-9_]+``; letters are formula atom names.  Declaration order of ``state`` lines fixes
 the canonical state ordering; actions are ordered by first mention
 (``action`` line or ``trans`` line).  Duplicate ``trans`` lines are
 idempotent.  Transitions may reference states declared later in the file.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping, Sequence
 
-from .syntax import _ATOM_NAME, KEYWORDS
+from .syntax import _ATOM_NAME
 
 __all__ = ["Model", "ModelFormatError", "parse_model", "format_model", "Plan"]
 
@@ -70,7 +70,8 @@ class Model:
             raise ValueError("a model needs at least one state")
         index = {s: i for i, s in enumerate(states)}
         if len(index) != len(states):
-            raise ValueError("duplicate state id")
+            duplicate = next(s for i, s in enumerate(states) if s in states[:i])
+            raise ValueError(f"duplicate state id {duplicate!r}")
         if len(set(actions)) != len(actions):
             raise ValueError("duplicate action name")
         for label in transitions:
@@ -86,7 +87,8 @@ class Model:
                 i = index.get(src)
                 j = index.get(dst)
                 if i is None or j is None:
-                    raise ValueError(f"transition {src} -{a}-> {dst} mentions an undeclared state")
+                    undeclared = min(s for edge in pairs for s in edge if s not in index)
+                    raise ValueError(f"transition references undeclared state {undeclared!r}")
                 succ[i] |= 1 << j
                 can |= 1 << i
             moves[a] = (can, tuple(succ))
@@ -191,23 +193,23 @@ class Model:
         return frozenset(self._names(self._letters.get(letter, 0)))
 
 
-def _check_id(token: str, what: str, line_no: int) -> str:
+def _check_id(token: str, what: str, line: int | None = None) -> str:
     if not _ID.match(token):
-        raise ModelFormatError(f"bad {what} id {token!r}", line_no)
+        raise ModelFormatError(f"bad {what} id {token!r}", line)
+    return token
+
+
+def _check_letter(token: str, line: int | None = None) -> str:
+    if not _ATOM_NAME.match(token):
+        raise ModelFormatError(f"bad proposition letter {token!r}", line)
     return token
 
 
 def parse_model(text: str) -> Model:
     """Parse the line-based model format into a :class:`Model`."""
-    states: list[str] = []
-    actions: list[str] = []
-    seen_states: set[str] = set()
-    valuation: dict[str, list[str]] = {}
+    valuation: dict[str, list[str]] = {}  # in declaration order
+    transitions: dict[str, set[tuple[str, str]]] = {}  # in order of first mention
     edges: list[tuple[int, str, str, str]] = []  # line, src, action, dst
-
-    def declare_action(name: str) -> None:
-        if name not in actions:
-            actions.append(name)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -219,20 +221,14 @@ def parse_model(text: str) -> Model:
             if not m:
                 raise ModelFormatError("malformed state line (want: state <id> [<props>])", line_no)
             sid = _check_id(m.group(1), "state", line_no)
-            if sid in seen_states:
+            if sid in valuation:
                 raise ModelFormatError(f"duplicate state id {sid!r}", line_no)
-            seen_states.add(sid)
-            states.append(sid)
-            props = m.group(2).split()
-            for p in props:
-                if not _ATOM_NAME.match(p) or p in KEYWORDS:
-                    raise ModelFormatError(f"bad proposition letter {p!r}", line_no)
-            valuation[sid] = props
+            valuation[sid] = [_check_letter(p, line_no) for p in m.group(2).split()]
         elif head == "action":
             parts = line.split()
             if len(parts) != 2:
                 raise ModelFormatError("malformed action line (want: action <name>)", line_no)
-            declare_action(_check_id(parts[1], "action", line_no))
+            transitions.setdefault(_check_id(parts[1], "action", line_no), set())
         elif head == "trans":
             parts = line.split()
             if len(parts) != 4:
@@ -240,22 +236,19 @@ def parse_model(text: str) -> Model:
             _, src, act, dst = parts
             _check_id(src, "state", line_no)
             _check_id(dst, "state", line_no)
-            declare_action(_check_id(act, "action", line_no))
+            transitions.setdefault(_check_id(act, "action", line_no), set())
             edges.append((line_no, src, act, dst))
         else:
             raise ModelFormatError(f"unknown directive {head!r}", line_no)
 
-    if not states:
+    if not valuation:
         raise ModelFormatError("model declares no states")
     for line_no, src, act, dst in edges:
         for endpoint in (src, dst):
-            if endpoint not in seen_states:
+            if endpoint not in valuation:
                 raise ModelFormatError(f"transition references undeclared state {endpoint!r}", line_no)
-
-    transitions: dict[str, set[tuple[str, str]]] = {a: set() for a in actions}
-    for _, src, act, dst in edges:
         transitions[act].add((src, dst))
-    return Model(states, actions, transitions, valuation)
+    return Model(tuple(valuation), tuple(transitions), transitions, valuation)
 
 
 def format_model(model: Model) -> str:
@@ -263,14 +256,16 @@ def format_model(model: Model) -> str:
 
     Deterministic: states and actions in declaration order, each action's
     edges sorted by (source, target) declaration order.  ``parse_model``
-    inverts it exactly.
+    inverts it exactly.  A state id, action name or letter that the format
+    cannot express raises :class:`ModelFormatError`, with no line.
     """
     lines: list[str] = []
     for s in model.states:
-        props = sorted(model.valuation[s])
-        lines.append(f"state {s} [{' '.join(props)}]" if props else f"state {s} []")
+        sid = _check_id(s, "state")
+        props = " ".join(sorted(_check_letter(p) for p in model.valuation[s]))
+        lines.append(f"state {sid} [{props}]")
     for a in model.actions:
-        lines.append(f"action {a}")
+        lines.append(f"action {_check_id(a, 'action')}")
     for a in model.actions:
         pairs = sorted(model.transitions[a], key=lambda e: (model.index(e[0]), model.index(e[1])))
         for src, dst in pairs:

@@ -67,7 +67,9 @@ MAX_NESTING_DEPTH = 10_000
 
 KEYWORDS = frozenset({"top", "bot", "Kh", "Khp", "U"})
 
-_ATOM_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
+# The one rule for a proposition letter, in formulas, model files and
+# GenConfig.  ``top`` and ``bot`` are the only keywords of this shape.
+_ATOM_NAME = re.compile(r"(?!(?:top|bot)\Z)[a-z][a-zA-Z0-9_]*\Z")
 
 
 class Formula:
@@ -131,7 +133,7 @@ def _intern(cls: type, args: tuple) -> Formula:
     kids = args
     if cls is Atom:
         name = args[0]
-        if not _ATOM_NAME.match(name) or name in KEYWORDS:
+        if not _ATOM_NAME.match(name):
             raise ValueError(f"invalid atom name {name!r}")
         kids = ()
     node = object.__new__(cls)

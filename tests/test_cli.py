@@ -337,12 +337,25 @@ class TestDiagnostics:
         assert code == 2
 
     def test_bad_genconfig(self):
-        code, _, err = run_cli(
-            "countermodel", "p", "--max-states", "9", "--max-actions", "2",
-            "--letters", "p", "--exhaustive",
-        )
-        assert code == 2
-        assert "exhaustive bounds" in err
+        for argv, message in [
+            (
+                ["countermodel", "p", "--max-states", "9", "--max-actions", "2",
+                 "--letters", "p", "--exhaustive"],
+                "exhaustive bounds",
+            ),
+            (
+                ["countermodel", "p", "--max-states", "2", "--max-actions", "1",
+                 "--letters", "p,p", "--exhaustive"],
+                "error: duplicate proposition letter 'p'\n",
+            ),
+            (
+                ["audit", "--models", "1", "--letters", "p,p"],
+                "error: duplicate proposition letter 'p'\n",
+            ),
+        ]:
+            code, out, err = run_cli(*argv)
+            assert (code, out) == (2, ""), argv
+            assert message in err
 
     def test_seed_and_exhaustive_are_exclusive(self):
         code, _, err = run_cli(

@@ -8,6 +8,7 @@ from knowhow import (
     AuditReport,
     AuditViolation,
     Atom,
+    Formula,
     GenConfig,
     Implies,
     Kh,
@@ -47,6 +48,10 @@ class TestGenConfig:
             GenConfig(max_states=2, max_actions=1, letters=("P",))
         with pytest.raises(ValueError, match="letter"):
             GenConfig(max_states=2, max_actions=1, letters=("top",))
+        with pytest.raises(ValueError, match="duplicate proposition letter 'p'"):
+            GenConfig(max_states=2, max_actions=1, letters=("p", "q", "p"))
+        with pytest.raises(ValueError, match="duplicate proposition letter 'q'"):
+            GenConfig(max_states=2, max_actions=1, letters=("q", "q"), mode="exhaustive")
         with pytest.raises(ValueError, match="seed"):
             GenConfig(max_states=2, max_actions=1, seed=-1)
         with pytest.raises(ValueError, match="seed"):
@@ -187,6 +192,24 @@ class TestSoundnessAudit:
         report = soundness_audit(cfg, exhaustive_size(cfg))
         assert report.models_checked == 64
         assert report.ok
+
+    def test_route_formulas_built_once_per_audit(self, monkeypatch):
+        cfg = GenConfig(max_states=3, max_actions=2, letters=("p", "q"), seed=4)
+        soundness_audit(cfg, 1)  # the theorem database is built on first use
+        built = []
+        construct = Formula.__new__
+
+        def counting(cls, *args):
+            built.append(cls)
+            return construct(cls, *args)
+
+        monkeypatch.setattr(Formula, "__new__", staticmethod(counting))
+        counts = []
+        for count in (1, 20):
+            built.clear()
+            assert soundness_audit(cfg, count).ok
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
 
     def test_exhaustive_prefix_of_three_state_space_clean(self):
         cfg = GenConfig(max_states=3, max_actions=2, letters=("p", "q"), mode="exhaustive")

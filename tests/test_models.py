@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from knowhow import GenConfig, Model, ModelFormatError, format_model, generate, parse_model
+import knowhow
+from knowhow import Atom, GenConfig, Model, ModelFormatError, format_model, generate, parse_model
 
 from helpers import random_state_sets
 
@@ -104,6 +109,34 @@ class TestModelValidation:
             Model(("s",), (), {"a": set()}, {})
         with pytest.raises(ValueError):
             Model(("s",), (), {}, {"t": {"p"}})
+
+    def test_errors_name_the_state_under_any_hash_seed(self):
+        # The undeclared endpoint is the least one, whatever order the
+        # edge set iterates in.
+        script = (
+            "from knowhow import Model\n"
+            "for args in [(('s', 's'), (), {}, {}), (('s', 't', 's'), (), {}, {}),\n"
+            "             (('s',), ('a',), {'a': {('s', 't'), ('s', 'u'), ('x', 's')}}, {})]:\n"
+            "    try:\n"
+            "        Model(*args)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = str(Path(knowhow.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in range(4):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed)}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert outputs == {
+            "duplicate state id 's'\n"
+            "duplicate state id 's'\n"
+            "transition references undeclared state 't'\n"
+        }
 
     def test_immutable(self, ex1):
         with pytest.raises(AttributeError):
@@ -214,3 +247,47 @@ class TestFormat:
     def test_empty_relation_action_survives(self):
         m = parse_model("state x []\naction a\n")
         assert parse_model(format_model(m)) == m
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            (Model(("a b",), (), {}, {}), "bad state id 'a b'"),
+            (Model(("s",), (), {}, {"s": {"Kh"}}), "bad proposition letter 'Kh'"),
+            (Model(("s",), (), {}, {"s": {"P"}}), "bad proposition letter 'P'"),
+            (Model(("s",), ("x y",), {}, {}), "bad action id 'x y'"),
+        ],
+    )
+    def test_unwritable_model_raises(self, model, message):
+        with pytest.raises(ModelFormatError) as exc:
+            format_model(model)
+        assert exc.value.line is None
+        assert str(exc.value) == message
+
+
+LETTER_CANDIDATES = ["p", "p1", "pQ_2", "topx", "top", "bot", "Kh", "Khp", "U", "P", "1p", "p-q"]
+
+
+class TestLetterRule:
+    """Formulas, model files, generated models and format_model share
+    one rule for what a proposition letter is."""
+
+    @pytest.mark.parametrize("name", LETTER_CANDIDATES)
+    def test_one_rule_everywhere(self, name):
+        def accepts(build) -> bool:
+            try:
+                build()
+            except ValueError:
+                return False
+            return True
+
+        one_state = Model(("s",), (), {}, {"s": {name}})
+        verdicts = {
+            "Atom": accepts(lambda: Atom(name)),
+            "parse_model": accepts(lambda: parse_model(f"state s [{name}]\n")),
+            "GenConfig": accepts(lambda: GenConfig(max_states=1, max_actions=1, letters=(name,))),
+            "format_model": accepts(lambda: format_model(one_state)),
+        }
+        expected = name in ("p", "p1", "pQ_2", "topx")
+        assert verdicts == dict.fromkeys(verdicts, expected)
+        if expected:
+            assert parse_model(format_model(one_state)) == one_state

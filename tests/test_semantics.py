@@ -226,8 +226,8 @@ class TestAgainstPointwiseReference:
 
 
 class TestDeepNesting:
-    # The evaluator runs a compiled program without recursion, on the
-    # caller's thread; only normalize hands deep formulas to a worker.
+    # Normalizing, compiling and running a deep formula walk explicit
+    # stacks and loops, without recursion, on the caller's thread.
 
     def test_deep_negation_chain(self, ex1):
         assert ext(ex1, parse_formula("~" * 9_990 + "p")) == {"s2", "s3"}

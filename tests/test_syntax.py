@@ -311,9 +311,9 @@ class TestDepthLimit:
         assert twin != parse_formula("~" * depth + "q")
 
     def test_concurrent_deep_calls(self):
-        # Deep calls raise the process-wide recursion limit while they run;
-        # overlapping calls must neither lower it under each other nor leave
-        # it raised.
+        # Deep calls walk explicit stacks on the caller's thread: overlapping
+        # calls from several threads must all succeed and leave the
+        # process-wide recursion limit as it was.
         phi = parse_formula("~" * 9_990 + "p")
         limit = sys.getrecursionlimit()
         errors = []
