@@ -34,7 +34,7 @@ __all__ = ["main", "console_main"]
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:  # a leading BOM is not text
         return handle.read()
 
 

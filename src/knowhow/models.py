@@ -83,14 +83,13 @@ class Model:
             pairs = trans[a] = frozenset(transitions.get(a, ()))
             succ = [0] * len(states)
             can = 0
-            for src, dst in pairs:
-                i = index.get(src)
-                j = index.get(dst)
-                if i is None or j is None:
-                    undeclared = min(s for edge in pairs for s in edge if s not in index)
-                    raise ValueError(f"transition references undeclared state {undeclared!r}")
-                succ[i] |= 1 << j
-                can |= 1 << i
+            try:
+                for src, dst in pairs:
+                    i = index[src]
+                    succ[i] |= 1 << index[dst]
+                    can |= 1 << i
+            except (KeyError, TypeError, ValueError):
+                raise _edge_error(a, pairs, index) from None
             moves[a] = (can, tuple(succ))
         for s in valuation:
             if s not in index:
@@ -193,14 +192,25 @@ class Model:
         return frozenset(self._names(self._letters.get(letter, 0)))
 
 
+def _edge_error(action: str, pairs: frozenset, index: Mapping[str, int]) -> ValueError:
+    """Why ``Model`` could not read the edges of ``action``: the edge that
+    is not a (source, target) pair with the least repr, else the least
+    undeclared state."""
+    bad = sorted(repr(edge) for edge in pairs if not (isinstance(edge, tuple) and len(edge) == 2))
+    if bad:
+        return ValueError(f"action {action!r} has an edge that is not a (source, target) pair: {bad[0]}")
+    undeclared = min(s for edge in pairs for s in edge if s not in index)
+    return ValueError(f"transition references undeclared state {undeclared!r}")
+
+
 def _check_id(token: str, what: str, line: int | None = None) -> str:
-    if not _ID.match(token):
+    if not (isinstance(token, str) and _ID.match(token)):
         raise ModelFormatError(f"bad {what} id {token!r}", line)
     return token
 
 
 def _check_letter(token: str, line: int | None = None) -> str:
-    if not _ATOM_NAME.match(token):
+    if not (isinstance(token, str) and _ATOM_NAME.match(token)):
         raise ModelFormatError(f"bad proposition letter {token!r}", line)
     return token
 

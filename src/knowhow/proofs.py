@@ -29,11 +29,19 @@ Proof file format (UTF-8; ``#`` starts a comment)::
 
     hypothesis <formula>                  # optional, numbered 1.. in order
     <n>. <formula> ; taut
-    <n>. <formula> ; axiom <NAME> p=<formula> q=<formula> [r=<formula>]
+    <n>. <formula> ; axiom <NAME> <letter>=<formula> ...
     <n>. <formula> ; mp <i> <j>           # line j is (line i -> this)
     <n>. <formula> ; necu <i>
     <n>. <formula> ; sub <i> <letter> <formula>
     <n>. <formula> ; hyp <h>
+
+Each rule of the format is stated once.  Line labels and references are
+ASCII digits (``_LINE_NUMBER``).  A ``sub`` letter and a bound letter
+follow the formula language's atom rule (``syntax._ATOM_NAME``); a
+binding starts at the beginning of the binding text or after whitespace,
+and :func:`instantiate_axiom` alone decides which letters a schema takes.
+``mp``, ``necu`` and ``sub`` check the lines they cite in one place,
+before the rule's own check.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from .syntax import (
     Not,
     Top,
     U,
+    _ATOM_NAME,
     _HEIGHT,
     atom_names,
     normalize,
@@ -302,32 +311,23 @@ def _check_line(
         if not _norm_equal(line.formula, instance):
             return f"does not match axiom {just.name} under the given binding"
         return None
-    if isinstance(just, MP):
-        for ref in (just.premise, just.implication):
+    if isinstance(just, (MP, NecU, Sub)):
+        cited = (just.premise, just.implication) if isinstance(just, MP) else (just.premise,)
+        for ref in cited:
             if not 1 <= ref < line.index:
                 return f"reference to line {ref} is out of range"
         premise = earlier[just.premise - 1]
-        implication = earlier[just.implication - 1]
-        if not _norm_equal(implication, Implies(premise, line.formula)):
-            return (
-                f"line {just.implication} is not (line {just.premise} -> this line) "
-                "up to normalization"
-            )
-        return None
-    if isinstance(just, NecU):
-        if not 1 <= just.premise < line.index:
-            return f"reference to line {just.premise} is out of range"
-        if not _norm_equal(line.formula, U(earlier[just.premise - 1])):
-            return f"not U applied to line {just.premise} up to normalization"
-        return None
-    if isinstance(just, Sub):
-        if not 1 <= just.premise < line.index:
-            return f"reference to line {just.premise} is out of range"
-        expected = substitute(earlier[just.premise - 1], just.letter, just.replacement)
-        if line.formula is not expected:
-            return (
-                f"not the result of substituting {just.letter!r} in line {just.premise}"
-            )
+        if isinstance(just, MP):
+            if not _norm_equal(earlier[just.implication - 1], Implies(premise, line.formula)):
+                return (
+                    f"line {just.implication} is not (line {just.premise} -> this line) "
+                    "up to normalization"
+                )
+        elif isinstance(just, NecU):
+            if not _norm_equal(line.formula, U(premise)):
+                return f"not U applied to line {just.premise} up to normalization"
+        elif line.formula is not substitute(premise, just.letter, just.replacement):
+            return f"not the result of substituting {just.letter!r} in line {just.premise}"
         return None
     if isinstance(just, Hyp):
         if not 1 <= just.index <= len(hypotheses):
@@ -407,15 +407,6 @@ class _Builder:
     def necu(self, premise: int) -> int:
         return self._add(U(self.formula(premise)), NecU(premise))
 
-    def sub(self, premise: int, letter: str, replacement: Union[str, Formula]) -> int:
-        repl = self._f(replacement)
-        return self._add(
-            substitute(self.formula(premise), letter, repl), Sub(premise, letter, repl)
-        )
-
-    def hyp(self, index: int, formula: Union[str, Formula]) -> int:
-        return self._add(formula, Hyp(index))
-
     def chain(self, premises: Sequence[int], conclusion: Union[str, Formula]) -> int:
         """Derive ``conclusion`` from earlier lines by one curried tautology
         (premise_1 -> ... -> premise_k -> conclusion) and k modus ponens."""
@@ -428,52 +419,38 @@ class _Builder:
             step = self.mp(index, step)
         return step
 
-    def build(self) -> Proof:
-        return Proof(tuple(self.lines))
 
-
-def _prove_tri() -> Proof:
-    b = _Builder()
+def _prove_tri(b: _Builder) -> None:
     t = b.taut("p -> p")
     u = b.necu(t)
     emp = b.axiom("EMP", p="p", q="p")
     b.mp(u, emp)
-    return b.build()
 
 
-def _prove_wskh() -> Proof:
-    b = _Builder()
+def _prove_wskh(b: _Builder) -> None:
     e1 = b.axiom("EMP", p="p", q="r")
     e2 = b.axiom("EMP", p="o", q="q")
     c1 = b.axiom("COMPKh", p="p", r="r", q="o")
     c2 = b.axiom("COMPKh", p="p", r="o", q="q")
     b.chain([e1, e2, c1, c2], "U(p -> r) & U(o -> q) & Kh(r, o) -> Kh(p, q)")
-    return b.build()
 
 
-def _prove_4u() -> Proof:
-    b = _Builder()
+def _prove_4u(b: _Builder) -> None:
     b.axiom_shown("U p -> U U p", "4KU", p="~p", q="bot")
-    return b.build()
 
 
-def _prove_5u() -> Proof:
-    b = _Builder()
+def _prove_5u(b: _Builder) -> None:
     b.axiom_shown("~U p -> U ~U p", "5KU", p="~p", q="bot")
-    return b.build()
 
 
-def _prove_cond() -> Proof:
-    b = _Builder()
+def _prove_cond(b: _Builder) -> None:
     t = b.taut("bot -> p")
     u = b.necu(t)
     emp = b.axiom("EMP", p="bot", q="p")
     b.mp(u, emp)
-    return b.build()
 
 
-def _prove_uconj() -> Proof:
-    b = _Builder()
+def _prove_uconj(b: _Builder) -> None:
     u1 = b.necu(b.taut("p & q -> p"))
     d1 = b.axiom("DISTU", p="p & q", q="p")
     u2 = b.necu(b.taut("p & q -> q"))
@@ -482,7 +459,6 @@ def _prove_uconj() -> Proof:
     d3 = b.axiom("DISTU", p="p", q="q -> p & q")
     d4 = b.axiom("DISTU", p="q", q="p & q")
     b.chain([u1, d1, u2, d2, u3, d3, d4], "U(p & q) <-> U p & U q")
-    return b.build()
 
 
 def _prekh_lines(b: _Builder) -> int:
@@ -504,30 +480,35 @@ def _prekh_lines(b: _Builder) -> int:
     return b.chain([k1, c1, f1, u2, d1, e2, k2, c2], f"Kh({cond}, q)")
 
 
-def _prove_prekh() -> Proof:
-    b = _Builder()
-    _prekh_lines(b)
-    return b.build()
-
-
-def _prove_postkh() -> Proof:
-    b = _Builder()
+def _prove_postkh(b: _Builder) -> None:
     prekh = _prekh_lines(b)
     comp = b.axiom("COMPKh", p="r", r="Kh(p, q) & p", q="q")
     b.chain([prekh, comp], "Kh(r, Kh(p, q) & p) -> Kh(r, q)")
-    return b.build()
 
 
-def _prove_neckh_demo() -> Proof:
+def _prove_neckh_demo(b: _Builder) -> None:
     # The admissible necessitation for Kh, demonstrated on the theorem q -> q.
-    b = _Builder()
     t = b.taut("q -> q")
     weaken = b.taut("(q -> q) -> (p -> (q -> q))")
     imp = b.mp(t, weaken)
     u = b.necu(imp)
     emp = b.axiom("EMP", p="p", q="q -> q")
     b.mp(u, emp)
-    return b.build()
+
+
+# Each row: name, the statement the derivation must end in, and the
+# function that writes the derivation into the builder it is given.
+_THEOREMS = (
+    ("TRI", "Kh(p, p)", _prove_tri),
+    ("WSKh", "U(p -> r) & U(o -> q) & Kh(r, o) -> Kh(p, q)", _prove_wskh),
+    ("4U", "U p -> U U p", _prove_4u),
+    ("5U", "~U p -> U ~U p", _prove_5u),
+    ("COND", "Kh(bot, p)", _prove_cond),
+    ("UCONJ", "U(p & q) <-> U p & U q", _prove_uconj),
+    ("PREKh", "Kh(Kh(p, q) & p, q)", _prekh_lines),
+    ("POSTKh", "Kh(r, Kh(p, q) & p) -> Kh(r, q)", _prove_postkh),
+    ("NECKh", "Kh(p, q -> q)", _prove_neckh_demo),
+)
 
 
 @functools.lru_cache(maxsize=1)
@@ -539,34 +520,26 @@ def theorem_db() -> tuple[TheoremEntry, ...]:
     NECKh entry demonstrates the admissible Kh-necessitation rule on one
     instance).
     """
-    entries = (
-        TheoremEntry("TRI", parse_formula("Kh(p, p)"), _prove_tri()),
-        TheoremEntry(
-            "WSKh",
-            parse_formula("U(p -> r) & U(o -> q) & Kh(r, o) -> Kh(p, q)"),
-            _prove_wskh(),
-        ),
-        TheoremEntry("4U", parse_formula("U p -> U U p"), _prove_4u()),
-        TheoremEntry("5U", parse_formula("~U p -> U ~U p"), _prove_5u()),
-        TheoremEntry("COND", parse_formula("Kh(bot, p)"), _prove_cond()),
-        TheoremEntry("UCONJ", parse_formula("U(p & q) <-> U p & U q"), _prove_uconj()),
-        TheoremEntry("PREKh", parse_formula("Kh(Kh(p, q) & p, q)"), _prove_prekh()),
-        TheoremEntry(
-            "POSTKh",
-            parse_formula("Kh(r, Kh(p, q) & p) -> Kh(r, q)"),
-            _prove_postkh(),
-        ),
-        TheoremEntry("NECKh", parse_formula("Kh(p, q -> q)"), _prove_neckh_demo()),
-    )
-    for entry in entries:
+    entries = []
+    for name, statement, derive in _THEOREMS:
+        b = _Builder()
+        derive(b)
+        entry = TheoremEntry(name, parse_formula(statement), Proof(tuple(b.lines)))
         assert entry.proof.lines[-1].formula == entry.formula
-    return entries
+        entries.append(entry)
+    return tuple(entries)
 
 
 # --- Proof file parsing -----------------------------------------------------
 
-_NUMBERED = re.compile(r"(\d+)\.\s*(.*)\Z")
-_BINDING_START = re.compile(r"([pqr])=")
+# Line labels and references are ASCII digits; ``int()`` alone would also
+# take other scripts' digits, signs, underscores and surrounding spaces.
+_LINE_NUMBER = "[0-9]+"
+_NUMBERED = re.compile(rf"({_LINE_NUMBER})\.\s*(.*)\Z")
+_REFERENCE = re.compile(rf"{_LINE_NUMBER}\Z")
+# A binding starts at the beginning of the text or after whitespace; the
+# token before its '=' is a binding letter only if it passes ``_ATOM_NAME``.
+_BINDING_START = re.compile(r"(?<!\S)([^\s=]+)=")
 
 
 def _parse_formula_at(text: str, line_no: int, what: str = "formula") -> Formula:
@@ -577,7 +550,7 @@ def _parse_formula_at(text: str, line_no: int, what: str = "formula") -> Formula
 
 
 def _parse_binding(text: str, line_no: int) -> dict[str, Formula]:
-    matches = list(_BINDING_START.finditer(text))
+    matches = [m for m in _BINDING_START.finditer(text) if _ATOM_NAME.match(m.group(1))]
     if not matches:
         raise ProofFormatError("axiom justification needs letter bindings like p=<formula>", line_no)
     if text[: matches[0].start()].strip():
@@ -595,10 +568,9 @@ def _parse_binding(text: str, line_no: int) -> dict[str, Formula]:
 
 
 def _parse_int(token: str, line_no: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ProofFormatError(f"expected a line number, got {token!r}", line_no) from None
+    if not _REFERENCE.match(token):
+        raise ProofFormatError(f"expected a line number, got {token!r}", line_no)
+    return int(token)
 
 
 def _parse_justification(text: str, line_no: int) -> Justification:
@@ -630,10 +602,11 @@ def _parse_justification(text: str, line_no: int) -> Justification:
         pieces = rest.split(None, 2)
         if len(pieces) != 3:
             raise ProofFormatError("want: sub <line> <letter> <formula>", line_no)
+        premise = _parse_int(pieces[0], line_no)
+        if not _ATOM_NAME.match(pieces[1]):
+            raise ProofFormatError(f"bad proposition letter {pieces[1]!r}", line_no)
         return Sub(
-            _parse_int(pieces[0], line_no),
-            pieces[1],
-            _parse_formula_at(pieces[2], line_no, "substitution replacement"),
+            premise, pieces[1], _parse_formula_at(pieces[2], line_no, "substitution replacement")
         )
     if keyword == "hyp":
         refs = rest.split()

@@ -8,22 +8,30 @@ import random
 from itertools import product
 
 from knowhow import (
+    MP,
     And,
     Atom,
+    AxiomInst,
     Bot,
     Formula,
     GenConfig,
+    Hyp,
     Iff,
     Implies,
     Kh,
     KhPlus,
     Model,
+    NecU,
     Not,
     Or,
+    ProofLine,
+    Sub,
+    Taut,
     Top,
     U,
     find_plan,
     generate,
+    print_formula,
     verify_plan,
 )
 from knowhow.cli import main
@@ -170,3 +178,32 @@ def flip_root_connective(phi: Formula) -> Formula | None:
     if isinstance(phi, KhPlus):
         return Kh(phi.cond, phi.goal)
     return None
+
+
+# --- Proof files ------------------------------------------------------------
+
+
+def _justification_text(just) -> str:
+    if isinstance(just, Taut):
+        return "taut"
+    if isinstance(just, AxiomInst):
+        bindings = " ".join(f"{x}={print_formula(f)}" for x, f in just.binding.items())
+        return f"axiom {just.name} {bindings}"
+    if isinstance(just, MP):
+        return f"mp {just.premise} {just.implication}"
+    if isinstance(just, NecU):
+        return f"necu {just.premise}"
+    if isinstance(just, Sub):
+        return f"sub {just.premise} {just.letter} {print_formula(just.replacement)}"
+    assert isinstance(just, Hyp)
+    return f"hyp {just.index}"
+
+
+def proof_file_text(lines: tuple[ProofLine, ...], hypotheses: tuple[Formula, ...] = ()) -> str:
+    """Write a derivation in the proof file format."""
+    out = [f"hypothesis {print_formula(h)}" for h in hypotheses]
+    out += [
+        f"{line.index}. {print_formula(line.formula)} ; {_justification_text(line.justification)}"
+        for line in lines
+    ]
+    return "\n".join(out) + "\n"

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import shlex
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -225,6 +227,31 @@ class TestProve:
         assert code == 0
         assert json.loads(out)["accepted"] is True
 
+    @pytest.mark.parametrize(
+        "line, code, out, err",
+        [
+            # Line labels and references are ASCII digits only.
+            ("2. U(p -> p) ; necu +1", 2, "", "error: line 2: expected a line number, got '+1'\n"),
+            ("2. q ; mp 1_0 2", 2, "", "error: line 2: expected a line number, got '1_0'\n"),
+            ("2. p -> p ; hyp \u0661", 2, "", "error: line 2: expected a line number, got '\u0661'\n"),
+            ("\u0662. U(p -> p) ; necu 1", 2, "", "error: line 2: want: <n>. <formula> ; <justification>\n"),
+            # A sub letter follows the letter rule of formulas.
+            ("2. p -> p ; sub 1 XYZ q", 2, "", "error: line 2: bad proposition letter 'XYZ'\n"),
+            ("2. p -> p ; sub 1 top q", 2, "", "error: line 2: bad proposition letter 'top'\n"),
+            # A binding starts after whitespace; the schema decides its letters.
+            ("2. U(p -> q) -> Kh(p, q) ; axiom EMP p=pq=q", 2, "",
+             "error: line 2: bad binding for 'p': unexpected character '=' at offset 3\n"),
+            ("2. U p -> p ; axiom TU p=p o=q", 1, "REJECTED line 2: axiom TU does not use letter 'o'\n", ""),
+            ("2. U p -> p ; axiom TU p=p q=q", 1, "REJECTED line 2: axiom TU does not use letter 'q'\n", ""),
+            ("2. U(p -> q) -> Kh(p, q) ; axiom EMP p=p x1=q", 1,
+             "REJECTED line 2: binding for axiom EMP is missing letter 'q'\n", ""),
+        ],
+    )
+    def test_proof_file_rules(self, tmp_path, line, code, out, err):
+        proof = tmp_path / "rule.prf"
+        proof.write_text(f"1. p -> p ; taut\n{line}\n", encoding="utf-8")
+        assert run_cli("prove", str(proof)) == (code, out, err)
+
 
 class TestCountermodel:
     ARGS = [
@@ -320,6 +347,23 @@ class TestDiagnostics:
         code, _, err = run_cli("check", ex1_path, "p &")
         assert code == 2
         assert "offset 4" in err
+
+    def test_leading_byte_order_mark_is_read(self, tmp_path, fixtures_dir):
+        def without_comments(name: str) -> str:
+            # The mark then sits right before a directive or a line label.
+            lines = (fixtures_dir / name).read_text().splitlines(keepends=True)
+            return "".join(line for line in lines if not line.startswith("#"))
+
+        model = tmp_path / "bom.lts"
+        model.write_text(without_comments("ex1.lts"), encoding="utf-8-sig")
+        proof = tmp_path / "bom.prf"
+        proof.write_text(without_comments("tri.prf"), encoding="utf-8-sig")
+        assert model.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert proof.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert run_cli("check", str(model), "Kh(p, q)") == (
+            0, "TRUE AT: s1 s2 s3 s4 s5 s6 s7 s8\nGLOBAL-TRUE\n", ""
+        )
+        assert run_cli("prove", str(proof)) == (0, "ACCEPTED\n", "")
 
     def test_bad_model(self, tmp_path, capsys):
         bad = tmp_path / "bad.lts"
@@ -564,6 +608,61 @@ class TestPinnedOutput:
             "                     [--max-states MAX_STATES] [--max-actions MAX_ACTIONS]\n"
             "                     [--letters LETTERS] [--exhaustive] [--json]\n\n"
         )
+
+
+# --- The README's examples -------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# README: exit status 1 for negative results, 0 for affirmative ones.
+NEGATIVE_FIRST_WORDS = ("NO PLAN", "FAIL:", "REJECTED", "NONE FOUND", "GLOBAL-FALSE")
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """Each ``$ knowhow ...`` command in README.md's ``text`` blocks, with
+    the output lines shown under it, up to a blank line or the block's
+    end; a command line ending in a backslash continues on the next."""
+    examples: list[tuple[str, list[str]]] = []
+    shown = None  # the output lines of the command being read
+    lines = iter(README.read_text(encoding="utf-8").splitlines())
+    in_block = False
+    for line in lines:
+        if line.startswith("```"):
+            in_block, shown = line == "```text", None
+        elif in_block and line.startswith("$ knowhow "):
+            command = line[2:]
+            while command.endswith("\\"):
+                command = command[:-1] + next(lines).strip()
+            shown = []
+            examples.append((command, shown))
+        elif not line.strip():
+            shown = None
+        elif shown is not None:
+            shown.append(line)
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadmeExamples:
+    def test_examples_found(self):
+        commands = [command.split()[1] for command, _ in README_EXAMPLES]
+        assert sorted(set(commands)) == ["audit", "check", "countermodel", "plan", "prove", "verify-plan"]
+
+    @pytest.mark.parametrize("command, shown", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+    def test_example_output(self, command, shown, monkeypatch):
+        monkeypatch.chdir(README.parent)
+        code, out, err = run_cli(*shlex.split(command)[1:])
+        assert err == ""
+        assert code == (1 if shown[0].startswith(NEGATIVE_FIRST_WORDS) else 0)
+        printed = out.splitlines()
+        if "..." in shown:
+            cut = shown.index("...")
+            head, tail = shown[:cut], shown[cut + 1 :]
+            assert printed[: len(head)] == head
+            assert printed[len(printed) - len(tail) :] == tail
+        else:
+            assert printed == shown
 
 
 class TestInProcessSequence:

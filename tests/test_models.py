@@ -110,13 +110,23 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             Model(("s",), (), {}, {"t": {"p"}})
 
+    @pytest.mark.parametrize("edge", [("s",), ("s", "s", "s"), 5])
+    def test_edge_that_is_not_a_pair(self, edge):
+        with pytest.raises(ValueError) as exc:
+            Model(("s",), ("a",), {"a": {("s", "s"), edge}}, {})
+        assert str(exc.value) == (
+            f"action 'a' has an edge that is not a (source, target) pair: {edge!r}"
+        )
+
     def test_errors_name_the_state_under_any_hash_seed(self):
-        # The undeclared endpoint is the least one, whatever order the
-        # edge set iterates in.
+        # The undeclared endpoint is the least one, and the edge named as
+        # not a pair has the least repr, whatever order the edge set
+        # iterates in.
         script = (
             "from knowhow import Model\n"
             "for args in [(('s', 's'), (), {}, {}), (('s', 't', 's'), (), {}, {}),\n"
-            "             (('s',), ('a',), {'a': {('s', 't'), ('s', 'u'), ('x', 's')}}, {})]:\n"
+            "             (('s',), ('a',), {'a': {('s', 't'), ('s', 'u'), ('x', 's')}}, {}),\n"
+            "             (('s',), ('a',), {'a': {('s', 's'), ('t',), 5, ('s',)}}, {})]:\n"
             "    try:\n"
             "        Model(*args)\n"
             "    except ValueError as exc:\n"
@@ -136,6 +146,7 @@ class TestModelValidation:
             "duplicate state id 's'\n"
             "duplicate state id 's'\n"
             "transition references undeclared state 't'\n"
+            "action 'a' has an edge that is not a (source, target) pair: ('s',)\n"
         }
 
     def test_immutable(self, ex1):
@@ -255,6 +266,10 @@ class TestFormat:
             (Model(("s",), (), {}, {"s": {"Kh"}}), "bad proposition letter 'Kh'"),
             (Model(("s",), (), {}, {"s": {"P"}}), "bad proposition letter 'P'"),
             (Model(("s",), ("x y",), {}, {}), "bad action id 'x y'"),
+            # Python callers can pass values that are not text at all.
+            (Model((1,), (), {}, {}), "bad state id 1"),
+            (Model(("s",), (), {}, {"s": {1}}), "bad proposition letter 1"),
+            (Model(("s",), (2,), {}, {}), "bad action id 2"),
         ],
     )
     def test_unwritable_model_raises(self, model, message):

@@ -27,11 +27,12 @@ from knowhow import (
     parse_formula,
     parse_proof,
     substitute,
+    substitute_all,
     theorem_db,
 )
 from knowhow.proofs import format_verdict
 
-from helpers import flip_root_connective
+from helpers import flip_root_connective, proof_file_text, random_formula, run_cli
 
 
 def _lines(*entries) -> Proof:
@@ -332,6 +333,50 @@ class TestParseProof:
             parse_proof("hypothesisx p\n")
         document = parse_proof("hypothesis p & q\n1. p & q ; hyp 1\n")
         assert document.hypotheses == (parse_formula("p & q"),)
+
+
+def _instance(lines, sigma):
+    """``lines`` with ``sigma`` applied to every formula and binding; a
+    substitution instance of a derivation without ``sub`` lines is one."""
+    out = []
+    for line in lines:
+        just = line.justification
+        assert not isinstance(just, Sub)
+        if isinstance(just, AxiomInst):
+            just = AxiomInst(just.name, {x: substitute_all(f, sigma) for x, f in just.binding.items()})
+        out.append(ProofLine(line.index, substitute_all(line.formula, sigma), just))
+    return tuple(out)
+
+
+class TestProofFileRoundTrip:
+    """Every bundled derivation, and seeded substitution instances of it,
+    written as proof-file text, parse back to the same lines and pass
+    ``knowhow prove``."""
+
+    def _round_trip(self, tmp_path, lines, hypotheses=()):
+        text = proof_file_text(lines, hypotheses)
+        document = parse_proof(text)
+        assert document.hypotheses == tuple(hypotheses)
+        assert document.proof.lines == tuple(lines), text
+        path = tmp_path / "round.prf"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli("prove", str(path)) == (0, "ACCEPTED\n", "")
+
+    def test_bundled_derivations(self, tmp_path):
+        for entry in theorem_db():
+            self._round_trip(tmp_path, entry.proof.lines)
+
+    def test_substitution_instances(self, tmp_path):
+        rng = random.Random(10)
+        for entry in theorem_db():
+            for _ in range(3):
+                sigma = {x: random_formula(rng, ("p", "q", "r", "o", "x1"), depth=2) for x in "pqro"}
+                sigma["p"] = parse_formula("Kh(p, q) & p")
+                self._round_trip(tmp_path, _instance(entry.proof.lines, sigma))
+
+    def test_fixture_with_sub_and_hyp_lines(self, tmp_path, fixtures_dir):
+        document = parse_proof((fixtures_dir / "replacement.prf").read_text())
+        self._round_trip(tmp_path, document.proof.lines, document.hypotheses)
 
 
 class TestMutationSensitivity:
