@@ -3,86 +3,17 @@ systems: formula parsing and evaluation, uniform plan search and
 verification, Hilbert-style proof checking, and bounded countermodel
 search."""
 
-from .modelgen import (
-    AuditReport,
-    AuditViolation,
-    GenConfig,
-    exhaustive_size,
-    find_countermodel,
-    generate,
-    soundness_audit,
-)
-from .models import Model, ModelFormatError, Plan, format_model, parse_model
-from .planning import PlanCheck, PlanResult, find_plan, verify_plan
-from .proofs import (
-    AXIOM_SCHEMAS,
-    AxiomInst,
-    Hyp,
-    MP,
-    NecU,
-    Proof,
-    ProofDocument,
-    ProofFormatError,
-    ProofLine,
-    ProofVerdict,
-    Sub,
-    Taut,
-    TautologyBudgetError,
-    TheoremEntry,
-    check_proof,
-    check_proof_under,
-    instantiate_axiom,
-    is_tautology,
-    parse_proof,
-    theorem_db,
-)
-from .semantics import check_U, ext, holds
-from .syntax import (
-    And,
-    Atom,
-    Bot,
-    Formula,
-    FormulaSyntaxError,
-    Iff,
-    Implies,
-    Kh,
-    KhPlus,
-    Not,
-    Or,
-    Top,
-    U,
-    atom_names,
-    children,
-    formula_height,
-    normalize,
-    parse_formula,
-    print_formula,
-    substitute,
-    substitute_all,
-)
+from . import modelgen, models, planning, proofs, semantics, syntax
+from .modelgen import *
+from .models import *
+from .planning import *
+from .proofs import *
+from .semantics import *
+from .syntax import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
-    # syntax
-    "Formula", "Top", "Bot", "Atom", "Not", "And", "Or", "Implies", "Iff",
-    "U", "Kh", "KhPlus", "FormulaSyntaxError", "parse_formula",
-    "print_formula", "normalize", "substitute", "substitute_all",
-    "children", "formula_height", "atom_names",
-    # models
-    "Model", "ModelFormatError", "Plan", "parse_model", "format_model",
-    # planning
-    "PlanCheck", "PlanResult", "verify_plan", "find_plan",
-    # semantics
-    "ext", "holds", "check_U",
-    # proofs
-    "AXIOM_SCHEMAS", "Taut", "AxiomInst", "MP", "NecU", "Sub", "Hyp",
-    "Proof", "ProofLine", "ProofVerdict", "ProofDocument", "TheoremEntry",
-    "ProofFormatError", "TautologyBudgetError", "check_proof",
-    "check_proof_under", "instantiate_axiom", "is_tautology", "parse_proof",
-    "theorem_db",
-    # model generation
-    "GenConfig", "generate", "exhaustive_size", "find_countermodel",
-    "soundness_audit", "AuditReport", "AuditViolation",
+    "__version__", *syntax.__all__, *models.__all__, *planning.__all__,
+    *semantics.__all__, *proofs.__all__, *modelgen.__all__,
 ]

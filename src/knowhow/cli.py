@@ -5,8 +5,9 @@ Commands: ``check``, ``plan``, ``verify-plan``, ``prove``,
 models and proofs are files.  Exit status: 0 for affirmative results
 (true / plan found / proof accepted / countermodel found / zero
 violations), 1 for negative results, 2 for usage, file or parse errors
-(diagnostics go to stderr).  Output is byte-identical across runs for
-identical inputs.
+(diagnostics go to stderr).  A stdout closed by its reader drops the
+report silently and keeps the result's status.  Output is byte-identical
+across runs for identical inputs.
 
 Each ``cmd_*`` function computes its report once and returns it as a
 :class:`Result` record without writing anything; :func:`main` alone
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import NamedTuple, Optional
 
@@ -274,6 +276,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.stdout.write("\n")
         else:
             print(result.text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone; aim stdout at the null device so exit is silent.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,17 +45,16 @@ class ModelFormatError(ValueError):
 class Model:
     """A finite ability map: states, actions, labelled edges, valuation.
 
-    ``transitions`` and ``valuation`` keep the declared data.  For the
-    queries and the planners, construction also builds one table per
-    action in ``_moves``: a pair of the "can move" mask (bit *i* set iff
-    the *i*-th declared state has an edge labelled with that action) and
-    a tuple holding, for each state index, the mask of its successors.
-    ``_letters`` maps each letter true somewhere to the mask of the
-    states labelled with it.  A set of states is an ``int`` with bit *i*
+    The masks are the record.  A set of states is an ``int`` with bit *i*
     for the *i*-th declared state, so equal sets are equal ints.
+    ``_moves`` maps each action to its "can move" mask (the states with an
+    edge labelled by it) and a tuple of each state's successor mask.
+    ``_letters`` maps each letter true somewhere to the mask of the states
+    labelled with it.  ``transitions`` and ``valuation`` are views of the
+    masks, in the shape the constructor takes.
     """
 
-    __slots__ = ("states", "actions", "transitions", "valuation", "_index", "_moves", "_letters")
+    __slots__ = ("states", "actions", "_index", "_moves", "_letters")
 
     def __init__(
         self,
@@ -77,37 +76,51 @@ class Model:
         for label in transitions:
             if label not in actions:
                 raise ValueError(f"transition label {label!r} is not a declared action")
-        trans: dict[str, frozenset[tuple[str, str]]] = {}
         moves: dict[str, tuple[int, tuple[int, ...]]] = {}
         for a in actions:
-            pairs = trans[a] = frozenset(transitions.get(a, ()))
+            edges = tuple(transitions.get(a, ()))
             succ = [0] * len(states)
             can = 0
             try:
-                for src, dst in pairs:
+                for edge in edges:
+                    if not _is_pair(edge):
+                        raise TypeError
+                    src, dst = edge
                     i = index[src]
                     succ[i] |= 1 << index[dst]
                     can |= 1 << i
-            except (KeyError, TypeError, ValueError):
-                raise _edge_error(a, pairs, index) from None
+            except (KeyError, TypeError):
+                raise _edge_error(a, edges, index) from None
             moves[a] = (can, tuple(succ))
         for s in valuation:
             if s not in index:
                 raise ValueError(f"valuation mentions undeclared state {s!r}")
-        val: dict[str, frozenset[str]] = {}
         letters: dict[str, int] = {}
         for i, s in enumerate(states):
-            val[s] = frozenset(valuation.get(s, ()))
-            for letter in val[s]:
+            for letter in valuation.get(s, ()):
                 letters[letter] = letters.get(letter, 0) | 1 << i
 
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "transitions", trans)
-        object.__setattr__(self, "valuation", val)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_moves", moves)
         object.__setattr__(self, "_letters", letters)
+
+    @property
+    def transitions(self) -> dict[str, frozenset[tuple[str, str]]]:
+        """Each action's edges as (source, target) pairs."""
+        return {
+            a: frozenset((s, t) for s, row in zip(self.states, succ) for t in self._names(row))
+            for a, (_, succ) in self._moves.items()
+        }
+
+    @property
+    def valuation(self) -> dict[str, frozenset[str]]:
+        """Each state's letters."""
+        return {
+            s: frozenset(letter for letter, mask in self._letters.items() if mask >> i & 1)
+            for i, s in enumerate(self.states)
+        }
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Model is immutable")
@@ -118,15 +131,15 @@ class Model:
         return (
             self.states == other.states
             and self.actions == other.actions
-            and self.transitions == other.transitions
-            and self.valuation == other.valuation
+            and self._moves == other._moves
+            and self._letters == other._letters
         )
 
     def __hash__(self) -> int:
         return hash((self.states, self.actions))
 
     def __repr__(self) -> str:
-        edges = sum(len(p) for p in self.transitions.values())
+        edges = sum(row.bit_count() for _, succ in self._moves.values() for row in succ)
         return f"<Model |S|={len(self.states)} |A|={len(self.actions)} edges={edges}>"
 
     # -- queries ------------------------------------------------------
@@ -192,14 +205,19 @@ class Model:
         return frozenset(self._names(self._letters.get(letter, 0)))
 
 
-def _edge_error(action: str, pairs: frozenset, index: Mapping[str, int]) -> ValueError:
+def _is_pair(edge: object) -> bool:
+    """The one rule for an edge: a ``tuple`` of length 2."""
+    return isinstance(edge, tuple) and len(edge) == 2
+
+
+def _edge_error(action: str, edges: tuple, index: Mapping[str, int]) -> ValueError:
     """Why ``Model`` could not read the edges of ``action``: the edge that
     is not a (source, target) pair with the least repr, else the least
     undeclared state."""
-    bad = sorted(repr(edge) for edge in pairs if not (isinstance(edge, tuple) and len(edge) == 2))
-    if bad:
-        return ValueError(f"action {action!r} has an edge that is not a (source, target) pair: {bad[0]}")
-    undeclared = min(s for edge in pairs for s in edge if s not in index)
+    bad = min((repr(edge) for edge in edges if not _is_pair(edge)), default=None)
+    if bad is not None:
+        return ValueError(f"action {action!r} has an edge that is not a (source, target) pair: {bad}")
+    undeclared = min(s for edge in edges for s in edge if s not in index)
     return ValueError(f"transition references undeclared state {undeclared!r}")
 
 
@@ -265,19 +283,19 @@ def format_model(model: Model) -> str:
     """Serialize ``model`` in the model file format.
 
     Deterministic: states and actions in declaration order, each action's
-    edges sorted by (source, target) declaration order.  ``parse_model``
+    edges in (source, target) declaration order.  ``parse_model``
     inverts it exactly.  A state id, action name or letter that the format
     cannot express raises :class:`ModelFormatError`, with no line.
     """
     lines: list[str] = []
-    for s in model.states:
+    for s, letters in model.valuation.items():
         sid = _check_id(s, "state")
-        props = " ".join(sorted(_check_letter(p) for p in model.valuation[s]))
+        props = " ".join(sorted(_check_letter(p) for p in letters))
         lines.append(f"state {sid} [{props}]")
     for a in model.actions:
         lines.append(f"action {_check_id(a, 'action')}")
-    for a in model.actions:
-        pairs = sorted(model.transitions[a], key=lambda e: (model.index(e[0]), model.index(e[1])))
-        for src, dst in pairs:
-            lines.append(f"trans {src} {a} {dst}")
+    for a, (_, succ) in model._moves.items():
+        for src, row in zip(model.states, succ):
+            for dst in model._names(row):
+                lines.append(f"trans {src} {a} {dst}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -11,7 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from knowhow import GenConfig, format_model, generate, parse_model
+import knowhow
+from knowhow import AuditReport, AuditViolation, GenConfig, format_model, generate, parse_model
+from knowhow import cli
 
 from helpers import run_cli
 
@@ -330,6 +333,30 @@ class TestAudit:
         assert doc["violations"] == []
         assert doc["models_checked"] == 3
 
+    def test_violation_report(self, monkeypatch):
+        model = parse_model("state s [p]\naction a\ntrans s a s\n")
+        violation = AuditViolation(1, "EMP", (("p", "q"), ("q", "p")), model)
+        monkeypatch.setattr(
+            cli, "soundness_audit", lambda cfg, count: AuditReport(1, 2, (violation,))
+        )
+        assert run_cli("audit", "--models", "1") == (
+            1,
+            "checked 1 models, 2 instances\n"
+            "violations: 1\n"
+            "VIOLATION model #1 schema EMP [p=q q=p]\n",
+            "",
+        )
+        code, out, err = run_cli("audit", "--models", "1", "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["violations"] == [
+            {
+                "model_number": 1,
+                "schema": "EMP",
+                "assignment": {"p": "q", "q": "p"},
+                "model": "state s [p]\naction a\ntrans s a s\n",
+            }
+        ]
+
     def test_negative_model_count_is_error(self):
         code, out, err = run_cli("audit", "--models", "-5")
         assert (code, out) == (2, "")
@@ -400,6 +427,31 @@ class TestDiagnostics:
             code, out, err = run_cli(*argv)
             assert (code, out) == (2, ""), argv
             assert message in err
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("formula, code", [("Kh(p, q)", 0), ("bot", 1)])
+    def test_closed_stdout_is_not_an_error(self, ex1_path, unbuffered, json_flag, formula, code):
+        # A reader that has gone away (``knowhow ... | head -0``) is not an
+        # input error: the run ends silently with the result's own status.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        src = str(Path(knowhow.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "knowhow", "check", ex1_path, formula, *json_flag],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, "")
 
     def test_seed_and_exhaustive_are_exclusive(self):
         code, _, err = run_cli(

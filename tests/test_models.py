@@ -77,6 +77,9 @@ class TestParseModel:
             parse_model("state s []\ntrans s a\n")
         with pytest.raises(ModelFormatError, match="unknown directive"):
             parse_model("states s []\n")
+        with pytest.raises(ModelFormatError, match="malformed action line") as exc:
+            parse_model("state s []\naction a b\n")
+        assert exc.value.line == 2
 
     def test_empty_model_error(self):
         with pytest.raises(ModelFormatError, match="no states"):
@@ -110,10 +113,11 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             Model(("s",), (), {}, {"t": {"p"}})
 
-    @pytest.mark.parametrize("edge", [("s",), ("s", "s", "s"), 5])
+    # A string or a list of length 2 is not a pair either: only a tuple is.
+    @pytest.mark.parametrize("edge", [("s",), ("s", "s", "s"), 5, "ss", ["s", "s"]])
     def test_edge_that_is_not_a_pair(self, edge):
         with pytest.raises(ValueError) as exc:
-            Model(("s",), ("a",), {"a": {("s", "s"), edge}}, {})
+            Model(("s",), ("a",), {"a": [("s", "s"), edge]}, {})
         assert str(exc.value) == (
             f"action 'a' has an edge that is not a (source, target) pair: {edge!r}"
         )
@@ -148,6 +152,31 @@ class TestModelValidation:
             "transition references undeclared state 't'\n"
             "action 'a' has an edge that is not a (source, target) pair: ('s',)\n"
         }
+
+    def test_views_equal_the_input(self):
+        # transitions and valuation are computed from the masks; they must
+        # give back exactly the edge and letter sets the constructor read.
+        rng = random.Random(11)
+        for _ in range(200):
+            states = tuple(f"s{i}" for i in range(rng.randint(1, 6)))
+            actions = tuple("abc"[: rng.randint(0, 3)])
+            transitions = {
+                a: [(rng.choice(states), rng.choice(states)) for _ in range(rng.randint(0, 12))]
+                for a in actions
+            }
+            valuation = {
+                s: [rng.choice("pqr") for _ in range(rng.randint(0, 4))]
+                for s in states
+                if rng.getrandbits(1)
+            }
+            model = Model(states, actions, transitions, valuation)
+            assert model.transitions == {a: frozenset(transitions[a]) for a in actions}
+            assert model.valuation == {s: frozenset(valuation.get(s, ())) for s in states}
+
+    def test_repr_counts_edges(self, ex1, ex2_left, ex2_right):
+        assert repr(ex1) == "<Model |S|=8 |A|=2 edges=7>"
+        assert repr(ex2_left) == "<Model |S|=4 |A|=2 edges=3>"
+        assert repr(ex2_right) == "<Model |S|=6 |A|=2 edges=4>"
 
     def test_immutable(self, ex1):
         with pytest.raises(AttributeError):

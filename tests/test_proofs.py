@@ -317,6 +317,12 @@ class TestParseProof:
             ("1. p ; necu one\n", "expected a line number"),
             ("1. p ( ; taut\n", "bad formula"),
             ("hypothesis\n", "want: hypothesis"),
+            ("1. p ; taut x\n", "taut takes no arguments"),
+            ("1. p ;\n", "missing justification after ';'"),
+            ("1. p ; axiom EMP pq\n", "needs letter bindings"),
+            ("1. p ; necu 1 2\n", "want: necu <line>"),
+            ("1. p ; sub 1 p\n", "want: sub <line> <letter> <formula>"),
+            ("1. p ; hyp\n", "want: hyp <hypothesis-number>"),
         ]
         for text, fragment in cases:
             with pytest.raises(ProofFormatError) as exc:
