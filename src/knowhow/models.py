@@ -3,7 +3,12 @@
 A model is a nonempty set of states, a finite action alphabet, one
 transition relation per action and a valuation assigning proposition
 letters to states.  Models are immutable after construction; all queries
-are pure, so concurrent reads are safe.
+are pure, so concurrent reads are safe.  The one thing a model writes
+after construction is a memo of action images that only
+:func:`~knowhow.planning.verify_plan` fills and reads: it never changes a
+result, its writes are idempotent (two threads that miss store the same
+image), it holds at most ``|A| * 2^|S|`` entries and no more than the
+steps already walked, and it is freed with the model.
 
 File format (UTF-8, one declaration per line)::
 
@@ -51,10 +56,12 @@ class Model:
     edge labelled by it) and a tuple of each state's successor mask.
     ``_letters`` maps each letter true somewhere to the mask of the states
     labelled with it.  ``transitions`` and ``valuation`` are views of the
-    masks, in the shape the constructor takes.
+    masks, in the shape the constructor takes.  ``_images`` is
+    ``verify_plan``'s memo: per action, a dict from a mask to its image,
+    or to ``-1`` when some member of the mask has no successor.
     """
 
-    __slots__ = ("states", "actions", "_index", "_moves", "_letters")
+    __slots__ = ("states", "actions", "_index", "_moves", "_letters", "_images")
 
     def __init__(
         self,
@@ -77,6 +84,7 @@ class Model:
             if label not in actions:
                 raise ValueError(f"transition label {label!r} is not a declared action")
         moves: dict[str, tuple[int, tuple[int, ...]]] = {}
+        images: dict[str, dict[int, int]] = {}
         for a in actions:
             edges = tuple(transitions.get(a, ()))
             succ = [0] * len(states)
@@ -92,19 +100,27 @@ class Model:
             except (KeyError, TypeError):
                 raise _edge_error(a, edges, index) from None
             moves[a] = (can, tuple(succ))
+            images[a] = {}
         for s in valuation:
             if s not in index:
                 raise ValueError(f"valuation mentions undeclared state {s!r}")
         letters: dict[str, int] = {}
         for i, s in enumerate(states):
-            for letter in valuation.get(s, ()):
-                letters[letter] = letters.get(letter, 0) | 1 << i
+            try:
+                for letter in valuation.get(s, ()):
+                    letters[letter] = letters.get(letter, 0) | 1 << i
+            except TypeError:
+                raise ValueError(
+                    f"valuation of state {s!r} is not a collection of hashable letters: "
+                    f"{valuation[s]!r}"
+                ) from None
 
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_moves", moves)
         object.__setattr__(self, "_letters", letters)
+        object.__setattr__(self, "_images", images)
 
     @property
     def transitions(self) -> dict[str, frozenset[tuple[str, str]]]:
@@ -213,12 +229,23 @@ def _is_pair(edge: object) -> bool:
 def _edge_error(action: str, edges: tuple, index: Mapping[str, int]) -> ValueError:
     """Why ``Model`` could not read the edges of ``action``: the edge that
     is not a (source, target) pair with the least repr, else the least
-    undeclared state."""
+    undeclared state (the least repr when they do not compare)."""
     bad = min((repr(edge) for edge in edges if not _is_pair(edge)), default=None)
     if bad is not None:
         return ValueError(f"action {action!r} has an edge that is not a (source, target) pair: {bad}")
-    undeclared = min(s for edge in edges for s in edge if s not in index)
-    return ValueError(f"transition references undeclared state {undeclared!r}")
+    undeclared = [s for edge in edges for s in edge if not _declared(s, index)]
+    try:
+        least = min(undeclared)
+    except TypeError:  # endpoints of types that do not compare
+        least = min(undeclared, key=repr)
+    return ValueError(f"transition references undeclared state {least!r}")
+
+
+def _declared(state: object, index: Mapping[str, int]) -> bool:
+    try:
+        return state in index
+    except TypeError:  # unhashable, so never a declared state
+        return False
 
 
 def _check_id(token: str, what: str, line: int | None = None) -> str:

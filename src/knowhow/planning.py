@@ -34,7 +34,10 @@ declaration order makes it the lexicographically least shortest one (in
 action-index order).
 
 The two functions deliberately share no traversal code: verify_plan is
-the independent oracle for find_plan.
+the independent oracle for find_plan.  verify_plan memoizes each action's
+image of a reached set on the model (``Model._images``), so a step it has
+walked before is one dict lookup; the memo is verify_plan's alone, and
+find_plan neither reads nor writes it.
 """
 
 from __future__ import annotations
@@ -112,26 +115,36 @@ def verify_plan(
     goal_mask = model._mask(goals, "goal set mentions ")
     steps: Plan = tuple(plan)
     try:
-        tables = [model._moves[a] for a in steps]
+        memos = [model._images[a] for a in steps]
     except KeyError as exc:
         raise ValueError(f"unknown action {exc.args[0]!r}") from None
     states = model.states
 
-    for i, start in enumerate(states):
-        if not start_mask >> i & 1:
-            continue
-        reached = 1 << i
-        for k, (can, succ) in enumerate(tables):
-            stuck = reached & ~can
-            if stuck:
-                state = states[(stuck & -stuck).bit_length() - 1]
-                return PlanCheck(False, "stuck", start, k, steps[k], state)
-            nxt = 0
-            while reached:
-                low = reached & -reached
-                nxt |= succ[low.bit_length() - 1]
-                reached ^= low
-            reached = nxt
+    rest = start_mask
+    while rest:
+        reached = rest & -rest
+        rest ^= reached
+        start = states[reached.bit_length() - 1]
+        for k, memo in enumerate(memos):
+            image = memo.get(reached, -2)
+            if image < 0:
+                can, succ = model._moves[steps[k]]
+                if image == -2:  # a miss: compute the image and store it
+                    if reached & ~can:
+                        image = -1
+                    else:
+                        image = 0
+                        walk = reached
+                        while walk:
+                            low = walk & -walk
+                            image |= succ[low.bit_length() - 1]
+                            walk ^= low
+                    memo[reached] = image
+                if image < 0:
+                    stuck = reached & ~can
+                    state = states[(stuck & -stuck).bit_length() - 1]
+                    return PlanCheck(False, "stuck", start, k, steps[k], state)
+            reached = image
         bad = reached & ~goal_mask
         if bad:
             state = states[(bad & -bad).bit_length() - 1]

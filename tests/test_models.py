@@ -122,6 +122,23 @@ class TestModelValidation:
             f"action 'a' has an edge that is not a (source, target) pair: {edge!r}"
         )
 
+    # Values that are not text ids still end in a ValueError naming the
+    # state: an unhashable endpoint is never a declared state, undeclared
+    # endpoints that do not compare are ordered by repr, and a letter
+    # must be hashable.
+    @pytest.mark.parametrize(
+        "transitions, valuation, message",
+        [
+            ({"a": [(["s"], "s")]}, {}, "transition references undeclared state ['s']"),
+            ({"a": [(1, "t")]}, {}, "transition references undeclared state 't'"),
+            ({}, {"s": [["p"]]}, "valuation of state 's' is not a collection of hashable letters: [['p']]"),
+        ],
+    )
+    def test_values_that_are_not_ids(self, transitions, valuation, message):
+        with pytest.raises(ValueError) as exc:
+            Model(("s",), ("a",), transitions, valuation)
+        assert str(exc.value) == message
+
     def test_errors_name_the_state_under_any_hash_seed(self):
         # The undeclared endpoint is the least one, and the edge named as
         # not a pair has the least repr, whatever order the edge set

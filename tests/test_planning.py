@@ -1,11 +1,23 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from collections import deque
+from itertools import product
 
 import pytest
 
-from knowhow import GenConfig, Model, PlanCheck, find_plan, generate, parse_model, verify_plan
+from knowhow import (
+    GenConfig,
+    Model,
+    PlanCheck,
+    find_plan,
+    format_model,
+    generate,
+    parse_model,
+    verify_plan,
+)
 
 from helpers import plan_exists_bruteforce, plan_exists_pure, random_state_sets
 
@@ -331,6 +343,116 @@ class TestAgainstBruteForce:
             assert verify_plan(model, starts, goals, sigma + eta).ok
             composed += 1
         assert composed >= 30  # the generator actually produced usable triples
+
+
+# --- verify_plan's image memo on the model -----------------------------------
+
+
+def _fresh(model: Model) -> Model:
+    return Model(model.states, model.actions, model.transitions, model.valuation)
+
+
+def _memo_models() -> list[Model]:
+    """Seeded generated models with exactly 3 and exactly 4 states."""
+    models = []
+    for size, seed in ((3, 12), (4, 13)):
+        cfg = GenConfig(max_states=size, max_actions=2, letters=("p", "q"), seed=seed)
+        models += [m for m in generate(cfg, 40) if len(m.states) == size][:5]
+    assert len(models) == 10
+    return models
+
+
+class TestImageMemo:
+    """``verify_plan`` memoizes action images on the model.  The memo
+    must never change an answer, must stay within ``2^|S|`` entries per
+    action, must be invisible from outside, and must never be read by
+    the search."""
+
+    def test_warm_memo_gives_the_same_answers(self):
+        rng = random.Random(12)
+        for model in _memo_models():
+            plans = [p for n in range(5) for p in product(model.actions, repeat=n)]
+            pairs = [random_state_sets(model, rng) for _ in range(4)]
+            pairs.append((frozenset(model.states), frozenset(model.states)))
+            calls = [(starts, goals, plan) for starts, goals in pairs for plan in plans]
+            for order in (calls, calls[::-1]):
+                for starts, goals, plan in order:
+                    check = verify_plan(model, starts, goals, plan)
+                    assert check == reference_verify_plan(model, starts, goals, plan)
+                    assert check == verify_plan(_fresh(model), starts, goals, plan)
+            sizes = [len(memo) for memo in model._images.values()]
+            assert 0 < max(sizes) and all(size <= 2 ** len(model.states) for size in sizes)
+
+    def test_search_never_reads_the_memo(self):
+        for model in _memo_models():
+            poisoned = _fresh(model)
+            everything = (1 << len(model.states)) - 1
+            for memo in poisoned._images.values():
+                for mask in range(everything + 1):
+                    memo[mask] = -1 if mask % 3 == 0 else everything ^ mask
+            subsets = [
+                frozenset(s for i, s in enumerate(model.states) if mask >> i & 1)
+                for mask in range(everything + 1)
+            ]
+            misread = 0
+            for starts, goals in product(subsets, repeat=2):
+                found = find_plan(poisoned, starts, goals)
+                expected = find_plan(model, starts, goals)
+                assert (found.decision, found.witness, found.explored) == (
+                    expected.decision, expected.witness, expected.explored,
+                )
+                for action in model.actions:
+                    misread += verify_plan(poisoned, starts, goals, (action,)) != verify_plan(
+                        model, starts, goals, (action,)
+                    )
+            assert misread  # the poison sits where verify_plan reads
+
+    def test_memo_is_invisible(self):
+        rng = random.Random(15)
+        for model in _memo_models():
+            used = _fresh(model)
+            for _ in range(50):
+                starts, goals = random_state_sets(used, rng)
+                plan = tuple(rng.choice(used.actions) for _ in range(rng.randint(0, 4)))
+                verify_plan(used, starts, goals, plan)
+            assert any(used._images.values())
+            fresh = _fresh(model)
+            assert used == fresh and hash(used) == hash(fresh)
+            assert repr(used) == repr(fresh)
+            assert used.transitions == fresh.transitions
+            assert used.valuation == fresh.valuation
+            assert format_model(used) == format_model(fresh)
+
+    def test_threads_sharing_a_model(self):
+        rng = random.Random(16)
+        cases = []
+        for model in _memo_models():
+            plans = [p for n in range(5) for p in product(model.actions, repeat=n)]
+            for _ in range(3):
+                starts, goals = random_state_sets(model, rng)
+                cases += [(model, starts, goals, plan) for plan in plans]
+        # The serial answers come from fresh copies, so the threads start
+        # on models whose memos are empty.
+        expected = [verify_plan(_fresh(model), starts, goals, plan) for model, starts, goals, plan in cases]
+
+        results: list[list[PlanCheck]] = [[] for _ in range(4)]
+        barrier = threading.Barrier(4)
+
+        def worker(out: list[PlanCheck]) -> None:
+            barrier.wait()
+            out.extend(verify_plan(*case) for case in cases)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(out,)) for out in results]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(out == expected for out in results)
 
 
 def test_plan_result_records_exploration():
