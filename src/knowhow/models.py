@@ -3,12 +3,13 @@
 A model is a nonempty set of states, a finite action alphabet, one
 transition relation per action and a valuation assigning proposition
 letters to states.  Models are immutable after construction; all queries
-are pure, so concurrent reads are safe.  The one thing a model writes
-after construction is a memo of action images that only
-:func:`~knowhow.planning.verify_plan` fills and reads: it never changes a
-result, its writes are idempotent (two threads that miss store the same
-image), it holds at most ``|A| * 2^|S|`` entries and no more than the
-steps already walked, and it is freed with the model.
+are pure, so concurrent reads are safe.  A state or action name that the
+model does not declare, an unhashable one included, raises ``ValueError``.
+The one thing a model writes after construction is a memo of action images
+that only :func:`~knowhow.planning.verify_plan` fills and reads: it never
+changes a result, its writes are idempotent (two threads that miss store
+the same image), it holds at most ``|A| * 2^|S|`` entries and no more than
+the steps already walked, and it is freed with the model.
 
 File format (UTF-8, one declaration per line)::
 
@@ -17,10 +18,10 @@ File format (UTF-8, one declaration per line)::
     action <name>                    # optional explicit declaration
     trans <src> <action> <dst>       # one labelled edge
 
-Ids match ``[A-Za-z0-9_]+``; letters are formula atom names.  Declaration order of ``state`` lines fixes
-the canonical state ordering; actions are ordered by first mention
-(``action`` line or ``trans`` line).  Duplicate ``trans`` lines are
-idempotent.  Transitions may reference states declared later in the file.
+Ids match ``[A-Za-z0-9_]+``; letters are formula atom names.  The order
+of ``state`` lines fixes the canonical state order; actions are ordered by
+first mention (``action`` or ``trans`` line).  Duplicate ``trans`` lines
+are idempotent.  Transitions may reference states declared later.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ class Model:
     labelled with it.  ``transitions`` and ``valuation`` are views of the
     masks, in the shape the constructor takes.  ``_images`` is
     ``verify_plan``'s memo: per action, a dict from a mask to its image,
-    or to ``-1`` when some member of the mask has no successor.
+    or to ``-1`` when some member of the mask has no successor.  ``_mask``
+    resolves every state name a caller passes, ``_unknown_action`` names
+    the first unknown action of a plan; an unhashable name is never known.
     """
 
     __slots__ = ("states", "actions", "_index", "_moves", "_letters", "_images")
@@ -74,22 +77,19 @@ class Model:
         actions = tuple(actions)
         if not states:
             raise ValueError("a model needs at least one state")
-        index = {s: i for i, s in enumerate(states)}
-        if len(index) != len(states):
-            duplicate = next(s for i, s in enumerate(states) if s in states[:i])
-            raise ValueError(f"duplicate state id {duplicate!r}")
-        if len(set(actions)) != len(actions):
-            raise ValueError("duplicate action name")
+        index = _positions(states, "state id")
+        declared = _positions(actions, "action name")
         for label in transitions:
-            if label not in actions:
+            if label not in declared:
                 raise ValueError(f"transition label {label!r} is not a declared action")
         moves: dict[str, tuple[int, tuple[int, ...]]] = {}
         images: dict[str, dict[int, int]] = {}
         for a in actions:
-            edges = tuple(transitions.get(a, ()))
+            edges = transitions.get(a, ())
             succ = [0] * len(states)
             can = 0
             try:
+                edges = tuple(edges)
                 for edge in edges:
                     if not _is_pair(edge):
                         raise TypeError
@@ -162,18 +162,11 @@ class Model:
 
     def index(self, state: str) -> int:
         """Declaration-order position of ``state``."""
-        try:
-            return self._index[state]
-        except KeyError:
-            raise ValueError(f"unknown state {state!r}") from None
+        return self._mask((state,)).bit_length() - 1
 
     def canonical(self, states: Iterable[str]) -> tuple[str, ...]:
         """Duplicate-free tuple ordered by declaration order."""
         return self._names(self._mask(states))
-
-    def require_action(self, action: str) -> None:
-        if action not in self._moves:
-            raise ValueError(f"unknown action {action!r}")
 
     def _mask(self, states: Iterable[str], what: str = "") -> int:
         """The mask of ``states``, read in one pass.  An unknown state
@@ -185,10 +178,14 @@ class Model:
         for s in items:
             try:
                 mask |= 1 << index[s]
-            except KeyError:
-                unknown = {s, *(t for t in items if t not in index)}
-                raise ValueError(f"{what}unknown state {min(unknown)!r}") from None
+            except (KeyError, TypeError):
+                least = _least(t for t in (s, *items) if not _declared(t, index))
+                raise ValueError(f"{what}unknown state {least!r}") from None
         return mask
+
+    def _unknown_action(self, plan: Sequence[str]) -> ValueError:
+        """The error for the first action of ``plan`` that is not declared."""
+        return ValueError(f"unknown action {next(a for a in plan if not _declared(a, self._moves))!r}")
 
     def _names(self, mask: int) -> tuple[str, ...]:
         """The states in ``mask``, in declaration order."""
@@ -196,25 +193,9 @@ class Model:
 
     def successors(self, state: str, action: str) -> frozenset[str]:
         """All ``action``-successors of ``state``."""
-        self.require_action(action)
+        if not _declared(action, self._moves):
+            raise self._unknown_action((action,))
         return frozenset(self._names(self._moves[action][1][self.index(state)]))
-
-    def post_image(self, states: Iterable[str], action: str) -> frozenset[str]:
-        """All states reachable from some member of ``states`` by ``action``."""
-        self.require_action(action)
-        succ = self._moves[action][1]
-        mask = self._mask(states)
-        image = 0
-        for i, row in enumerate(succ):
-            if mask >> i & 1:
-                image |= row
-        return frozenset(self._names(image))
-
-    def applicable(self, states: Iterable[str], action: str) -> bool:
-        """True iff every member of ``states`` has at least one
-        ``action``-successor (vacuously true for the empty set)."""
-        self.require_action(action)
-        return not self._mask(states) & ~self._moves[action][0]
 
     def labelled(self, letter: str) -> frozenset[str]:
         """States whose valuation contains ``letter``."""
@@ -226,18 +207,15 @@ def _is_pair(edge: object) -> bool:
     return isinstance(edge, tuple) and len(edge) == 2
 
 
-def _edge_error(action: str, edges: tuple, index: Mapping[str, int]) -> ValueError:
-    """Why ``Model`` could not read the edges of ``action``: the edge that
-    is not a (source, target) pair with the least repr, else the least
-    undeclared state (the least repr when they do not compare)."""
-    bad = min((repr(edge) for edge in edges if not _is_pair(edge)), default=None)
-    if bad is not None:
-        return ValueError(f"action {action!r} has an edge that is not a (source, target) pair: {bad}")
-    undeclared = [s for edge in edges for s in edge if not _declared(s, index)]
-    try:
-        least = min(undeclared)
-    except TypeError:  # endpoints of types that do not compare
-        least = min(undeclared, key=repr)
+def _edge_error(action: str, edges: object, index: Mapping[str, int]) -> ValueError:
+    """Why ``Model`` could not read ``edges`` of ``action``: not a collection,
+    else the least-repr edge that is not a pair, else the least undeclared state."""
+    if not isinstance(edges, tuple):
+        return ValueError(f"action {action!r} has edges that are not a collection: {edges!r}")
+    bad = [repr(edge) for edge in edges if not _is_pair(edge)]
+    if bad:
+        return ValueError(f"action {action!r} has an edge that is not a (source, target) pair: {_least(bad)}")
+    least = _least(s for edge in edges for s in edge if not _declared(s, index))
     return ValueError(f"transition references undeclared state {least!r}")
 
 
@@ -246,6 +224,27 @@ def _declared(state: object, index: Mapping[str, int]) -> bool:
         return state in index
     except TypeError:  # unhashable, so never a declared state
         return False
+
+
+def _positions(names: tuple, what: str) -> dict:
+    """Each name's position in ``names``, which must be hashable and
+    distinct; else ``ValueError`` names them, or the first repeat."""
+    try:
+        positions = {name: i for i, name in enumerate(names)}
+    except TypeError:
+        raise ValueError(f"{what}s are not all hashable: {names!r}") from None
+    if len(positions) < len(names):
+        raise ValueError(f"duplicate {what} {next(n for i, n in enumerate(names) if n in names[:i])!r}")
+    return positions
+
+
+def _least(names: Iterable[object]) -> object:
+    """The least of ``names``, ordered by ``repr`` when they do not compare."""
+    names = list(names)
+    try:
+        return min(names)
+    except TypeError:
+        return min(names, key=repr)
 
 
 def _check_id(token: str, what: str, line: int | None = None) -> str:

@@ -116,8 +116,8 @@ def verify_plan(
     steps: Plan = tuple(plan)
     try:
         memos = [model._images[a] for a in steps]
-    except KeyError as exc:
-        raise ValueError(f"unknown action {exc.args[0]!r}") from None
+    except (KeyError, TypeError):
+        raise model._unknown_action(steps) from None
     states = model.states
 
     rest = start_mask

@@ -7,11 +7,22 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import knowhow
-from knowhow import Atom, GenConfig, Model, ModelFormatError, format_model, generate, parse_model
-
-from helpers import random_state_sets
+from knowhow import (
+    Atom,
+    GenConfig,
+    Model,
+    ModelFormatError,
+    find_plan,
+    format_model,
+    generate,
+    holds,
+    parse_formula,
+    parse_model,
+    verify_plan,
+)
 
 
 class TestParseModel:
@@ -132,6 +143,8 @@ class TestModelValidation:
             ({"a": [(["s"], "s")]}, {}, "transition references undeclared state ['s']"),
             ({"a": [(1, "t")]}, {}, "transition references undeclared state 't'"),
             ({}, {"s": [["p"]]}, "valuation of state 's' is not a collection of hashable letters: [['p']]"),
+            ({"a": 5}, {}, "action 'a' has edges that are not a collection: 5"),
+            ({"a": None}, {}, "action 'a' has edges that are not a collection: None"),
         ],
     )
     def test_values_that_are_not_ids(self, transitions, valuation, message):
@@ -140,16 +153,39 @@ class TestModelValidation:
         assert str(exc.value) == message
 
     def test_errors_name_the_state_under_any_hash_seed(self):
-        # The undeclared endpoint is the least one, and the edge named as
-        # not a pair has the least repr, whatever order the edge set
-        # iterates in.
+        # The undeclared endpoint and the unknown state are the least one
+        # (by repr when the names do not compare), the edge named as not a
+        # pair has the least repr, and the unknown action is the first in
+        # plan order, whatever order a set iterates in.  An unhashable name
+        # is never declared.
         script = (
-            "from knowhow import Model\n"
+            "from knowhow import Model, find_plan, holds, parse_formula, verify_plan\n"
             "for args in [(('s', 's'), (), {}, {}), (('s', 't', 's'), (), {}, {}),\n"
             "             (('s',), ('a',), {'a': {('s', 't'), ('s', 'u'), ('x', 's')}}, {}),\n"
-            "             (('s',), ('a',), {'a': {('s', 's'), ('t',), 5, ('s',)}}, {})]:\n"
+            "             (('s',), ('a',), {'a': {('s', 's'), ('t',), 5, ('s',)}}, {}),\n"
+            "             (('s',), ('a',), {'a': {('s', 1), ('s', 't'), ('s', ('u',))}}, {}),\n"
+            "             (('s',), ('a', 'b', 'a'), {}, {}), ((['s'],), (), {}, {}),\n"
+            "             (('s',), (['a'],), {}, {})]:\n"
             "    try:\n"
             "        Model(*args)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+            "m = Model(('s', 't'), ('a', 'b'), {'a': [('s', 't')]}, {'s': ['p']})\n"
+            "p = parse_formula('p')\n"
+            "for call in [lambda: m.index('x'), lambda: m.index(['s']),\n"
+            "             lambda: m.canonical({'s', 'zz', 'aa', 'qq'}),\n"
+            "             lambda: m.canonical({'x', 1, ('y',)}), lambda: m.canonical([['s'], 'zz']),\n"
+            "             lambda: m.successors('s', 'z'), lambda: m.successors('s', ['a']),\n"
+            "             lambda: m.successors('x', 'a'), lambda: m.successors(['s'], 'a'),\n"
+            "             lambda: holds(m, 'x', p), lambda: holds(m, ['s'], p),\n"
+            "             lambda: find_plan(m, {'zz', 'aa', 's'}, ['t']),\n"
+            "             lambda: find_plan(m, [], [['s'], 'x', 1]),\n"
+            "             lambda: verify_plan(m, {'x', 1}, [], []),\n"
+            "             lambda: verify_plan(m, [], [['t']], []),\n"
+            "             lambda: verify_plan(m, [], [], ['a', 'z', 'y']),\n"
+            "             lambda: verify_plan(m, [], [], ['b', ['a'], 'z'])]:\n"
+            "    try:\n"
+            "        call()\n"
             "    except ValueError as exc:\n"
             "        print(exc)\n"
         )
@@ -168,6 +204,27 @@ class TestModelValidation:
             "duplicate state id 's'\n"
             "transition references undeclared state 't'\n"
             "action 'a' has an edge that is not a (source, target) pair: ('s',)\n"
+            "transition references undeclared state 't'\n"
+            "duplicate action name 'a'\n"
+            "state ids are not all hashable: (['s'],)\n"
+            "action names are not all hashable: (['a'],)\n"
+            "unknown state 'x'\n"
+            "unknown state ['s']\n"
+            "unknown state 'aa'\n"
+            "unknown state 'x'\n"
+            "unknown state 'zz'\n"
+            "unknown action 'z'\n"
+            "unknown action ['a']\n"
+            "unknown state 'x'\n"
+            "unknown state ['s']\n"
+            "unknown state 'x'\n"
+            "unknown state ['s']\n"
+            "start set mentions unknown state 'aa'\n"
+            "goal set mentions unknown state 'x'\n"
+            "start set mentions unknown state 'x'\n"
+            "goal set mentions unknown state ['t']\n"
+            "unknown action 'z'\n"
+            "unknown action ['a']\n"
         }
 
     def test_views_equal_the_input(self):
@@ -200,30 +257,86 @@ class TestModelValidation:
             ex1.states = ()
 
 
+# Values a Python caller may pass where a name is expected: declared names,
+# other text, numbers, None, and hashable and unhashable containers of them.
+_HASHABLE = st.one_of(
+    st.sampled_from(["s", "t", "a", "b"]),
+    st.text(max_size=2),
+    st.integers(-1, 2),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.binary(max_size=1),
+)
+_ANY = st.recursive(
+    _HASHABLE,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=2),
+        st.tuples(kids, kids),
+        st.sets(_HASHABLE, max_size=2),
+        st.frozensets(_HASHABLE, max_size=2),
+        st.dictionaries(_HASHABLE, kids, max_size=1),
+    ),
+    max_leaves=4,
+)
+_STATE = st.sampled_from(["s", "t"]) | _ANY
+_ACTION = st.sampled_from(["a", "b"]) | _ANY
+
+
+@st.composite
+def _model_arguments(draw):
+    """(states, actions, transitions, valuation) as a Python caller might
+    pass them to ``Model``: mostly declared names, some arbitrary values."""
+    states = st.lists(st.sampled_from(["s", "t"]), max_size=2, unique=True)
+    actions = st.lists(st.sampled_from(["a", "b"]), max_size=2, unique=True)
+    edges = st.lists(st.tuples(_STATE, _STATE) | _ANY, max_size=3) | _ANY
+    letters = st.lists(st.sampled_from(["p", "q"]) | _ANY, max_size=2) | _ANY
+    transitions = st.dictionaries(st.sampled_from(["a", "b"]), edges, max_size=2)
+    valuation = st.dictionaries(st.sampled_from(["s", "t"]), letters, max_size=2)
+    return (
+        draw(states | st.lists(_STATE, max_size=2)),
+        draw(actions | st.lists(_ACTION, max_size=2)),
+        draw(transitions | st.dictionaries(_HASHABLE, edges, max_size=1)),
+        draw(valuation | st.dictionaries(_HASHABLE, letters, max_size=1)),
+    )
+
+
+_STATES = st.lists(_STATE, max_size=3)
+_WELL_FORMED = Model(("s", "t"), ("a", "b"), {"a": [("s", "t")], "b": [("t", "t")]}, {"s": ["p"]})
+
+
+@given(_model_arguments(), _STATE, _ACTION, _STATES, _STATES, st.lists(_ACTION, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_any_name_ends_in_a_result_or_a_value_error(arguments, state, action, starts, goals, plan):
+    # Every entry that takes a caller's names returns or raises ValueError,
+    # for a well-formed model and for the model built from the arguments.
+    models = [_WELL_FORMED]
+    try:
+        models.append(Model(*arguments))
+    except ValueError:
+        pass
+    p = parse_formula("p")
+    for model in models:
+        for call in (
+            lambda: model.index(state),
+            lambda: model.canonical(starts),
+            lambda: model.successors(state, action),
+            lambda: holds(model, state, p),
+            lambda: find_plan(model, starts, goals),
+            lambda: verify_plan(model, starts, goals, plan),
+        ):
+            try:
+                call()
+            except ValueError:
+                pass
+
+
 class TestQueries:
-    def test_post_image_ex1(self, ex1):
-        assert ex1.post_image({"s2", "s3"}, "r") == {"s3", "s4"}
-
-    def test_post_image_empty(self, ex1):
-        assert ex1.post_image(frozenset(), "r") == frozenset()
-
-    def test_post_image_ex2_left(self, ex2_left):
-        assert ex2_left.post_image({"s1"}, "a") == {"s2", "s3"}
-
-    def test_applicable_ex2_left(self, ex2_left):
-        assert not ex2_left.applicable({"s2", "s3"}, "b")
-
-    def test_applicable_vacuous(self, ex1):
-        assert ex1.applicable(frozenset(), "r")
-
-    def test_applicable_ex1(self, ex1):
-        assert ex1.applicable({"s2", "s3"}, "u")
-
     def test_unknown_action(self, ex1):
-        with pytest.raises(ValueError, match="unknown action"):
-            ex1.post_image({"s1"}, "z")
-        with pytest.raises(ValueError, match="unknown action"):
-            ex1.applicable({"s1"}, "z")
+        with pytest.raises(ValueError, match=r"^unknown action 'z'$"):
+            ex1.successors("s1", "z")
+        with pytest.raises(ValueError, match=r"^unknown action 'z'$"):
+            verify_plan(ex1, {"s1"}, {"s1"}, ("r", "z"))
 
     def test_successors_ex1(self, ex1):
         assert ex1.successors("s2", "r") == {"s3"}
@@ -232,10 +345,10 @@ class TestQueries:
     def test_unknown_state(self, ex1):
         with pytest.raises(ValueError, match=r"^unknown state 'nope'$"):
             ex1.successors("nope", "r")
-        with pytest.raises(ValueError, match=r"^unknown state 'nope'$"):
-            ex1.post_image({"nope", "s2"}, "r")
-        with pytest.raises(ValueError, match=r"^unknown state 'nope'$"):
-            ex1.applicable({"nope"}, "r")
+        with pytest.raises(ValueError, match=r"^start set mentions unknown state 'nope'$"):
+            verify_plan(ex1, {"nope", "s2"}, {"s2"}, ("r",))
+        with pytest.raises(ValueError, match=r"^goal set mentions unknown state 'nope'$"):
+            verify_plan(ex1, {"s2"}, {"nope"}, ("r",))
 
     def test_canonical_names_least_unknown_state(self, ex1):
         with pytest.raises(ValueError, match=r"^unknown state 'aa'$"):
@@ -247,32 +360,6 @@ class TestQueries:
     def test_index_unknown_state(self, ex1):
         with pytest.raises(ValueError, match="unknown state"):
             ex1.index("zz")
-
-
-class TestProperties:
-    def test_post_image_monotone_and_applicable_conjunctive(self):
-        rng = random.Random(31)
-        cfg = GenConfig(max_states=5, max_actions=2, letters=("p",), seed=31)
-        for model in generate(cfg, 60):
-            smaller, bigger = random_state_sets(model, rng)
-            union = smaller | bigger
-            for action in model.actions:
-                assert model.post_image(smaller, action) <= model.post_image(union, action)
-                assert model.applicable(union, action) == (
-                    model.applicable(smaller, action) and model.applicable(bigger, action)
-                )
-                if model.applicable(model.states, action):
-                    assert model.post_image(model.states, action)
-
-    def test_applicable_nonempty_post(self):
-        rng = random.Random(77)
-        cfg = GenConfig(max_states=4, max_actions=2, letters=(), seed=77)
-        for model in generate(cfg, 60):
-            sets = random_state_sets(model, rng)
-            for group in sets:
-                for action in model.actions:
-                    if group and model.applicable(group, action):
-                        assert model.post_image(group, action)
 
 
 class TestFormat:

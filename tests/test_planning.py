@@ -98,8 +98,9 @@ class TestFindPlan:
     def test_ex2_right_no_plan(self, ex2_right):
         starts = ex2_right.labelled("p")
         goals = ex2_right.labelled("q")
-        for action in ex2_right.actions:
-            assert not ex2_right.applicable(starts, action)
+        # No action can be taken from every start: each leaves one stuck.
+        for edges in ex2_right.transitions.values():
+            assert not starts <= {src for src, _ in edges}
         result = find_plan(ex2_right, starts, goals)
         assert not result.decision
         assert result.witness is None
@@ -326,6 +327,7 @@ class TestAgainstBruteForce:
         cfg = GenConfig(max_states=5, max_actions=2, letters=(), seed=3)
         composed = 0
         for model in generate(cfg, 300):
+            edges = model.transitions
             starts = frozenset(s for s in model.states if rng.getrandbits(1))
             sigma = tuple(rng.choice(model.actions) for _ in range(rng.randrange(3)))
             everything = frozenset(model.states)
@@ -333,13 +335,13 @@ class TestAgainstBruteForce:
                 continue
             mid = starts
             for action in sigma:
-                mid = model.post_image(mid, action)
+                mid = frozenset(t for s, t in edges[action] if s in mid)
             eta = tuple(rng.choice(model.actions) for _ in range(rng.randrange(3)))
             if not verify_plan(model, mid, everything, eta).ok:
                 continue
             goals = mid
             for action in eta:
-                goals = model.post_image(goals, action)
+                goals = frozenset(t for s, t in edges[action] if s in goals)
             assert verify_plan(model, starts, goals, sigma + eta).ok
             composed += 1
         assert composed >= 30  # the generator actually produced usable triples
