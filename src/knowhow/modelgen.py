@@ -17,6 +17,7 @@ for non-valid formulas, not a decision procedure for validity.
 
 from __future__ import annotations
 
+import functools
 import random
 import string
 from dataclasses import dataclass
@@ -208,6 +209,21 @@ def _audit_schemas() -> tuple[tuple[str, Program, tuple[str, ...]], ...]:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _routes(letters: tuple[str, ...]) -> tuple[tuple[str, tuple, tuple[Formula, ...]], ...]:
+    """The U-ROUTE checks ``(phi, U phi)`` and the KHPLUS-DEF checks
+    ``(Khp(x, y), Kh(x, y), ~U(x -> y))`` over ``letters``, in report order."""
+    atoms = {x: Atom(x) for x in letters}
+    routes = [("U-ROUTE", (("p", x),), (atoms[x], U(atoms[x]))) for x in letters]
+    for x, y in product(letters, repeat=2):
+        p, q = atoms[x], atoms[y]
+        phi = Implies(p, q)
+        assignment = (("p", x), ("q", y))
+        routes.append(("U-ROUTE", assignment, (phi, U(phi))))
+        routes.append(("KHPLUS-DEF", assignment, (KhPlus(p, q), Kh(p, q), Not(U(phi)))))
+    return tuple(routes)
+
+
 def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
     """Evaluate the axiom validities, the derived theorems, the two
     evaluation routes for ``U`` and the ``Khp`` expansion on every
@@ -218,24 +234,18 @@ def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
     extension of ``schema[x := y, ...]`` on a model is the extension of
     ``schema`` with each letter ``x`` read as the extension of ``y``; it
     holds by induction on the schema, because ``Kh`` reads only the
-    extensions of its two arguments.  So each schema is normalized and
-    compiled once per audit and run once per model and assignment over
-    the letter masks, with one ``Kh`` decision memo per model.  The ``U``
-    and ``Khp`` checks go through the public :func:`ext` and
-    :func:`check_U` on formulas built once per audit, as a second route."""
+    extensions of its two arguments.  So each schema is run once per model
+    and assignment over the letter masks, with one ``Kh`` decision memo
+    per model; it is normalized and compiled once per process while it
+    lives, since its program is cached on its normal form.  The ``U`` and
+    ``Khp`` checks go through the public :func:`ext` and :func:`check_U`,
+    as a second route, on formulas built once per letter tuple: the last
+    tuple's formulas are kept, so a repeat audit over the same letters
+    builds and compiles none."""
     if not cfg.letters:
         raise ValueError("the audit needs at least one proposition letter")
     schemas = _audit_schemas()
-    # The U-ROUTE checks (phi, U phi) and the KHPLUS-DEF checks
-    # (Khp(x, y), Kh(x, y), ~U(x -> y)), in report order.
-    atoms = {x: Atom(x) for x in cfg.letters}
-    routes = [("U-ROUTE", (("p", x),), (atoms[x], U(atoms[x]))) for x in cfg.letters]
-    for x, y in product(cfg.letters, repeat=2):
-        p, q = atoms[x], atoms[y]
-        phi = Implies(p, q)
-        assignment = (("p", x), ("q", y))
-        routes.append(("U-ROUTE", assignment, (phi, U(phi))))
-        routes.append(("KHPLUS-DEF", assignment, (KhPlus(p, q), Kh(p, q), Not(U(phi)))))
+    routes = _routes(cfg.letters)
     violations: list[AuditViolation] = []
     models_checked = 0
     instances = 0

@@ -198,8 +198,10 @@ class Model:
         return frozenset(self._names(self._moves[action][1][self.index(state)]))
 
     def labelled(self, letter: str) -> frozenset[str]:
-        """States whose valuation contains ``letter``."""
-        return frozenset(self._names(self._letters.get(letter, 0)))
+        """States whose valuation contains ``letter``; none for an unhashable one."""
+        if not _declared(letter, self._letters):
+            return frozenset()
+        return frozenset(self._names(self._letters[letter]))
 
 
 def _is_pair(edge: object) -> bool:
@@ -219,20 +221,26 @@ def _edge_error(action: str, edges: object, index: Mapping[str, int]) -> ValueEr
     return ValueError(f"transition references undeclared state {least!r}")
 
 
-def _declared(state: object, index: Mapping[str, int]) -> bool:
+def _declared(name: object, index: Mapping[str, object]) -> bool:
     try:
-        return state in index
-    except TypeError:  # unhashable, so never a declared state
+        return name in index
+    except TypeError:  # unhashable, so never declared
         return False
 
 
 def _positions(names: tuple, what: str) -> dict:
     """Each name's position in ``names``, which must be hashable and
-    distinct; else ``ValueError`` names them, or the first repeat."""
+    distinct; else ``ValueError`` names the first unhashable one, or the
+    first repeat."""
     try:
         positions = {name: i for i, name in enumerate(names)}
     except TypeError:
-        raise ValueError(f"{what}s are not all hashable: {names!r}") from None
+        for name in names:
+            try:
+                hash(name)
+            except TypeError:
+                raise ValueError(f"unhashable {what} {name!r}") from None
+        raise
     if len(positions) < len(names):
         raise ValueError(f"duplicate {what} {next(n for i, n in enumerate(names) if n in names[:i])!r}")
     return positions

@@ -4,17 +4,21 @@ Truth is computed as *extensions* (sets of states) bottom-up rather than
 pointwise.  A set of states is an ``int`` mask, bit *i* for the *i*-th
 declared state, as in the planner.  A formula is normalized to the core
 connectives and compiled into a program that lists each distinct node
-once, after its operands.  Like every formula operation, compiling and
-running the program walk explicit stacks and loops, never recursion, so
-formulas nested to the 10,000-level limit evaluate on the caller's thread.
+once, after its operands.  The program is cached on the interned normal
+form, so a formula is compiled once per process while it, or any formula
+with the same normal form, lives.  Like every formula operation, compiling
+and running the program walk explicit stacks and loops, never recursion,
+so formulas nested to the 10,000-level limit evaluate on the caller's
+thread.
 
 ``Kh(cond, goal)`` holds either at every state or at none, and reads only
 the extensions of its two arguments.  Its decision is looked up by the
 pair ``(cond mask, goal mask)`` in a ``decisions`` dict that the caller
 passes in, so each distinct pair costs one plan search however many Kh
-nodes share it.  The dict belongs to one model and one caller: there is
-no cross-call cache, so concurrent evaluations over the same immutable
-model are safe.
+nodes share it.  The dict belongs to one model and one caller: decisions
+are never cached across calls, so concurrent evaluations over the same
+immutable model are safe.  Writing a program to its cache is race-benign:
+threads that miss compute equal programs, and either write wins.
 """
 
 from __future__ import annotations
@@ -37,8 +41,15 @@ Program = tuple[tuple, ...]
 
 def _compile(phi: Formula) -> Program:
     """The program of ``normalize(phi)``: every distinct node once (equal
-    nodes are one object), each after its operands, so the last op is the root."""
-    order = _subterms(normalize(phi))
+    nodes are one object), each after its operands, so the last op is the root.
+    It is cached on the normal form, as ``normalize`` caches that form, and
+    holds only ints, atom names and ``None``, never a node, so it makes no
+    reference cycle and dies with the node."""
+    normal = normalize(phi)
+    program = normal.__dict__.get("_program")
+    if program is not None:
+        return program
+    order = _subterms(normal)
     slot = {node: i for i, node in enumerate(order)}
     ops: list[tuple] = []
     for node in order:
@@ -55,7 +66,8 @@ def _compile(phi: Formula) -> Program:
             ops.append((_TOP, None, None))
         else:
             raise TypeError(f"not a core formula: {node!r}")
-    return tuple(ops)
+    program = normal.__dict__["_program"] = tuple(ops)
+    return program
 
 
 def _run(

@@ -25,8 +25,9 @@ hard error.
 Formula nodes are immutable and interned through one process-wide weak
 table, whose miss path publishes under a lock (see :class:`Formula`), so
 structurally equal formulas are one object and ``==`` is ``is``.  Each node
-caches its normal form.  Apart from the table and those caches, which never
-change a result, all functions are pure.
+caches its normal form, and a normal form its compiled program.  Apart from
+the table and those caches, which never change a result, all functions are
+pure.
 """
 
 from __future__ import annotations
@@ -88,7 +89,9 @@ class Formula:
 
     Each node caches its children (``kids``, left to right), its ``height``
     (a leaf has height 1) and, once :func:`normalize` has seen it, its
-    normal form.
+    normal form.  A normal form that has been evaluated also caches its
+    compiled program (``_program``, see ``semantics._compile``), which
+    holds no node, so it lives and dies with the node.
     """
 
     def __new__(cls, *args: object) -> Formula:

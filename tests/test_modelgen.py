@@ -193,9 +193,11 @@ class TestSoundnessAudit:
         assert report.models_checked == 64
         assert report.ok
 
-    def test_route_formulas_built_once_per_audit(self, monkeypatch):
+    def test_route_formulas_built_once_per_letter_tuple(self, monkeypatch):
+        # The warm-up builds the theorem database and the routes for p, q;
+        # a repeat audit over the same letters then builds no formula.
         cfg = GenConfig(max_states=3, max_actions=2, letters=("p", "q"), seed=4)
-        soundness_audit(cfg, 1)  # the theorem database is built on first use
+        soundness_audit(cfg, 1)
         built = []
         construct = Formula.__new__
 
@@ -204,12 +206,12 @@ class TestSoundnessAudit:
             return construct(cls, *args)
 
         monkeypatch.setattr(Formula, "__new__", staticmethod(counting))
-        counts = []
         for count in (1, 20):
-            built.clear()
             assert soundness_audit(cfg, count).ok
-            counts.append(len(built))
-        assert counts[0] == counts[1] > 0
+            assert built == []
+        other = GenConfig(max_states=3, max_actions=2, letters=("p", "q", "r"), seed=4)
+        assert soundness_audit(other, 1).ok
+        assert built
 
     def test_exhaustive_prefix_of_three_state_space_clean(self):
         cfg = GenConfig(max_states=3, max_actions=2, letters=("p", "q"), mode="exhaustive")

@@ -157,7 +157,7 @@ class TestModelValidation:
         # (by repr when the names do not compare), the edge named as not a
         # pair has the least repr, and the unknown action is the first in
         # plan order, whatever order a set iterates in.  An unhashable name
-        # is never declared.
+        # is never declared; the constructor names the first unhashable id.
         script = (
             "from knowhow import Model, find_plan, holds, parse_formula, verify_plan\n"
             "for args in [(('s', 's'), (), {}, {}), (('s', 't', 's'), (), {}, {}),\n"
@@ -165,7 +165,7 @@ class TestModelValidation:
             "             (('s',), ('a',), {'a': {('s', 's'), ('t',), 5, ('s',)}}, {}),\n"
             "             (('s',), ('a',), {'a': {('s', 1), ('s', 't'), ('s', ('u',))}}, {}),\n"
             "             (('s',), ('a', 'b', 'a'), {}, {}), ((['s'],), (), {}, {}),\n"
-            "             (('s',), (['a'],), {}, {})]:\n"
+            "             (('s',), (['a'],), {}, {}), (('s', ['u'], ['t']), (), {}, {})]:\n"
             "    try:\n"
             "        Model(*args)\n"
             "    except ValueError as exc:\n"
@@ -206,8 +206,9 @@ class TestModelValidation:
             "action 'a' has an edge that is not a (source, target) pair: ('s',)\n"
             "transition references undeclared state 't'\n"
             "duplicate action name 'a'\n"
-            "state ids are not all hashable: (['s'],)\n"
-            "action names are not all hashable: (['a'],)\n"
+            "unhashable state id ['s']\n"
+            "unhashable action name ['a']\n"
+            "unhashable state id ['u']\n"
             "unknown state 'x'\n"
             "unknown state ['s']\n"
             "unknown state 'aa'\n"
@@ -305,9 +306,19 @@ _STATES = st.lists(_STATE, max_size=3)
 _WELL_FORMED = Model(("s", "t"), ("a", "b"), {"a": [("s", "t")], "b": [("t", "t")]}, {"s": ["p"]})
 
 
-@given(_model_arguments(), _STATE, _ACTION, _STATES, _STATES, st.lists(_ACTION, max_size=3))
+@given(
+    _model_arguments(),
+    _STATE,
+    _ACTION,
+    _STATES,
+    _STATES,
+    st.lists(_ACTION, max_size=3),
+    st.sampled_from(["p", "q"]) | _ANY,
+)
 @settings(max_examples=300, deadline=None)
-def test_any_name_ends_in_a_result_or_a_value_error(arguments, state, action, starts, goals, plan):
+def test_any_name_ends_in_a_result_or_a_value_error(
+    arguments, state, action, starts, goals, plan, letter
+):
     # Every entry that takes a caller's names returns or raises ValueError,
     # for a well-formed model and for the model built from the arguments.
     models = [_WELL_FORMED]
@@ -321,6 +332,7 @@ def test_any_name_ends_in_a_result_or_a_value_error(arguments, state, action, st
             lambda: model.index(state),
             lambda: model.canonical(starts),
             lambda: model.successors(state, action),
+            lambda: model.labelled(letter),
             lambda: holds(model, state, p),
             lambda: find_plan(model, starts, goals),
             lambda: verify_plan(model, starts, goals, plan),
@@ -353,6 +365,11 @@ class TestQueries:
     def test_canonical_names_least_unknown_state(self, ex1):
         with pytest.raises(ValueError, match=r"^unknown state 'aa'$"):
             ex1.canonical(["s1", "zz", "aa", "qq"])
+
+    def test_labelled_unknown_or_unhashable_letter(self):
+        m = Model(("s",), (), {}, {"s": ["p"]})
+        assert m.labelled("q") == frozenset()
+        assert m.labelled(["p"]) == frozenset()
 
     def test_canonical_order(self, ex1):
         assert ex1.canonical(["s7", "s2", "s7", "s1"]) == ("s1", "s2", "s7")

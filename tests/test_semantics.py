@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import gc
 import random
+import sys
+import threading
+import weakref
 from itertools import product
 
 import pytest
@@ -223,6 +227,64 @@ class TestAgainstPointwiseReference:
         phi = parse_formula("Kh(p, q) & Kh(p & p, q) & ~~Kh(~~p, q | q) & Kh(p | bot, q & top)")
         assert ext(ex1, phi) == frozenset(ex1.states)
         assert len(searches) == 1
+
+
+class TestProgramCache:
+    # A compiled program is cached on the interned normal form, so it
+    # lives exactly as long as that node does.
+
+    def test_one_program_per_normal_form(self):
+        phi = parse_formula("Kh(p, q) & ~U(p -> q)")
+        assert semantics._compile(phi) is semantics._compile(phi)
+        sugar, core = parse_formula("p -> q"), parse_formula("~(p & ~q)")
+        assert sugar is not core
+        assert semantics._compile(sugar) is semantics._compile(core)
+
+    def test_program_holds_no_formula(self):
+        phi = parse_formula("Khp(p & r, U ~q) <-> Kh(top, bot | r)")
+        program = semantics._compile(phi)
+        assert program and all(type(op) is tuple and len(op) == 3 for op in program)
+        for op in program:
+            assert all(isinstance(x, (int, str, type(None))) for x in op), op
+
+    def test_compiled_formula_dies_with_its_last_reference(self):
+        # The cycle collector is off: a compiled formula and its normal
+        # form must die by reference counting alone.
+        gc.collect()
+        gc.disable()
+        try:
+            phi = parse_formula("Kh(dying_a, U(dying_b & ~dying_a))")
+            semantics._compile(phi)
+            normal = normalize(phi)
+            refs = [weakref.ref(phi), weakref.ref(normal)]
+            del phi, normal
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_threads_compiling_one_fresh_formula(self):
+        model = next(generate(GenConfig(max_states=4, max_actions=2, letters=("p", "q"), seed=5), 1))
+        phi = parse_formula("Kh(p & ~threads_x, U(q -> Kh(~p, q))) | Khp(q, p & ~threads_x)")
+        assert "_program" not in normalize(phi).__dict__
+        results: list[frozenset[str]] = []
+        barrier = threading.Barrier(4)
+
+        def worker() -> None:
+            barrier.wait()
+            results.append(ext(model, phi))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4
+        assert results == [_ext_reference(model, phi)] * 4
 
 
 class TestDeepNesting:
