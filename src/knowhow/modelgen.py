@@ -17,7 +17,6 @@ for non-valid formulas, not a decision procedure for validity.
 
 from __future__ import annotations
 
-import functools
 import random
 import string
 from dataclasses import dataclass
@@ -26,18 +25,8 @@ from typing import Iterator, Optional
 
 from .models import Model
 from .proofs import AXIOM_SCHEMAS, theorem_db
-from .semantics import Program, _compile, _run, check_U, ext, holds
-from .syntax import (
-    _ATOM_NAME,
-    Atom,
-    Formula,
-    Implies,
-    Kh,
-    KhPlus,
-    Not,
-    U,
-    atom_names,
-)
+from .semantics import Program, _compile, _run, holds
+from .syntax import _ATOM_NAME, Formula, atom_names, parse_formula
 
 __all__ = [
     "GenConfig",
@@ -65,6 +54,10 @@ class GenConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
+        for field in ("max_states", "max_actions", "seed"):
+            value = getattr(self, field)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{field} must be an int, got {value!r}")
         if self.max_states < 1:
             raise ValueError("max_states must be at least 1")
         if self.max_actions < 1:
@@ -83,7 +76,7 @@ class GenConfig:
                 f"{EXHAUSTIVE_MAX_STATES} and max_actions <= {EXHAUSTIVE_MAX_ACTIONS}"
             )
         for i, letter in enumerate(self.letters):
-            if not _ATOM_NAME.match(letter):
+            if not (isinstance(letter, str) and _ATOM_NAME.match(letter)):
                 raise ValueError(f"bad proposition letter {letter!r}")
             if letter in self.letters[:i]:
                 raise ValueError(f"duplicate proposition letter {letter!r}")
@@ -200,77 +193,72 @@ class AuditReport:
         return not self.violations
 
 
-def _audit_schemas() -> tuple[tuple[str, Program, tuple[str, ...]], ...]:
-    """Name, compiled program and sorted letters of every audited schema."""
-    named: list[tuple[str, Formula]] = list(AXIOM_SCHEMAS.items())
-    named += [(entry.name, entry.formula) for entry in theorem_db()]
-    return tuple(
-        (name, _compile(schema), tuple(sorted(atom_names(schema)))) for name, schema in named
-    )
+# The two definitions besides the axioms, stated over schema letters as
+# the schemas are.  A U-ROUTE row pairs phi with U phi, which normalizes to
+# Kh(~phi, bot), and fails when one holds everywhere and the other does
+# not.  KHPLUS-DEF is a validity, like a schema.
+_ROUTES: tuple[tuple[str, Formula, Optional[Formula]], ...] = (
+    ("U-ROUTE", parse_formula("p"), parse_formula("U p")),
+    ("U-ROUTE", parse_formula("p -> q"), parse_formula("U(p -> q)")),
+    ("KHPLUS-DEF", parse_formula("Khp(p, q) <-> Kh(p, q) & ~U(p -> q)"), None),
+)
 
 
-@functools.lru_cache(maxsize=1)
-def _routes(letters: tuple[str, ...]) -> tuple[tuple[str, tuple, tuple[Formula, ...]], ...]:
-    """The U-ROUTE checks ``(phi, U phi)`` and the KHPLUS-DEF checks
-    ``(Khp(x, y), Kh(x, y), ~U(x -> y))`` over ``letters``, in report order."""
-    atoms = {x: Atom(x) for x in letters}
-    routes = [("U-ROUTE", (("p", x),), (atoms[x], U(atoms[x]))) for x in letters]
-    for x, y in product(letters, repeat=2):
-        p, q = atoms[x], atoms[y]
-        phi = Implies(p, q)
-        assignment = (("p", x), ("q", y))
-        routes.append(("U-ROUTE", assignment, (phi, U(phi))))
-        routes.append(("KHPLUS-DEF", assignment, (KhPlus(p, q), Kh(p, q), Not(U(phi)))))
-    return tuple(routes)
+def _audit_schemas() -> tuple[tuple[str, Program, Optional[Program], tuple[str, ...]], ...]:
+    """Name, compiled program, compiled U twin (None for a validity) and
+    sorted letters of every audited row: the axiom schemas, the derived
+    theorems, then :data:`_ROUTES`."""
+    named: list[tuple[str, Formula, Optional[Formula]]] = [
+        (name, schema, None) for name, schema in AXIOM_SCHEMAS.items()
+    ]
+    named += [(entry.name, entry.formula, None) for entry in theorem_db()]
+    named += _ROUTES
+    rows = []
+    for name, phi, twin in named:
+        letters = atom_names(phi)
+        if twin is not None:
+            letters |= atom_names(twin)
+            twin = _compile(twin)
+        rows.append((name, _compile(phi), twin, tuple(sorted(letters))))
+    return tuple(rows)
 
 
 def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
     """Evaluate the axiom validities, the derived theorems, the two
     evaluation routes for ``U`` and the ``Khp`` expansion on every
     generated model, under all assignments of schema letters to
-    ``cfg.letters``.  The report lists violations; expected none.
+    ``cfg.letters``.  The report lists violations by model, then in the
+    row order of :func:`_audit_schemas`; expected none.
 
-    No schema instance is built.  By the substitution lemma, the
-    extension of ``schema[x := y, ...]`` on a model is the extension of
-    ``schema`` with each letter ``x`` read as the extension of ``y``; it
-    holds by induction on the schema, because ``Kh`` reads only the
-    extensions of its two arguments.  So each schema is run once per model
-    and assignment over the letter masks, with one ``Kh`` decision memo
-    per model; it is normalized and compiled once per process while it
-    lives, since its program is cached on its normal form.  The ``U`` and
-    ``Khp`` checks go through the public :func:`ext` and :func:`check_U`,
-    as a second route, on formulas built once per letter tuple: the last
-    tuple's formulas are kept, so a repeat audit over the same letters
-    builds and compiles none."""
+    No instance is built.  By the substitution lemma, the extension of
+    ``schema[x := y, ...]`` on a model is the extension of ``schema`` with
+    each letter ``x`` read as the extension of ``y``; it holds by induction
+    on the schema, because ``Kh`` reads only the extensions of its two
+    arguments.  So each row's programs are run once per model and
+    assignment over the letter masks, with one ``Kh`` decision memo per
+    model.  A program is cached on its normal form, and the route rows live
+    as long as the module, so a repeat audit builds and compiles no
+    formula."""
     if not cfg.letters:
         raise ValueError("the audit needs at least one proposition letter")
-    schemas = _audit_schemas()
-    routes = _routes(cfg.letters)
+    rows = _audit_schemas()
     violations: list[AuditViolation] = []
     models_checked = 0
     instances = 0
     for number, model in enumerate(generate(cfg, count), start=1):
         models_checked += 1
-        everything = frozenset(model.states)
         full = (1 << len(model.states)) - 1
         masks = model._letters
         decisions: dict[tuple[int, int], int] = {}
-        for name, program, schema_letters in schemas:
-            for combo in product(cfg.letters, repeat=len(schema_letters)):
-                env = {x: masks.get(y, 0) for x, y in zip(schema_letters, combo)}
+        for name, program, twin, row_letters in rows:
+            for combo in product(cfg.letters, repeat=len(row_letters)):
+                env = {x: masks.get(y, 0) for x, y in zip(row_letters, combo)}
                 instances += 1
-                if _run(program, model, env, decisions) != full:
+                ok = _run(program, model, env, decisions) == full
+                if twin is not None:  # both hold everywhere, or neither does
+                    ok = ok == (_run(twin, model, env, decisions) == full)
+                if not ok:
                     violations.append(
-                        AuditViolation(number, name, tuple(zip(schema_letters, combo)), model)
+                        AuditViolation(number, name, tuple(zip(row_letters, combo)), model)
                     )
-        for name, assignment, formulas in routes:
-            instances += 1
-            if name == "U-ROUTE":
-                phi, u_phi = formulas
-                ok = check_U(model, phi) == (ext(model, u_phi) == everything)
-            else:
-                khp, kh, not_u = formulas
-                ok = ext(model, khp) == ext(model, kh) & ext(model, not_u)
-            if not ok:
-                violations.append(AuditViolation(number, name, assignment, model))
     return AuditReport(models_checked, instances, tuple(violations))

@@ -82,10 +82,10 @@ class Formula:
     one object, ``==`` is ``is`` and the hash is the identity hash.  The
     table holds its nodes weakly: an entry leaves it when its node dies, so
     it holds only live formulas.  A miss validates the atom name (or the
-    arity), builds the node and then, under ``_TABLE_LOCK``, publishes it
-    unless another thread published the same formula first, in which case
-    that node is returned; so two threads building the same formula get the
-    same object.
+    arity and operands), builds the node and then, under ``_TABLE_LOCK``,
+    publishes it unless another thread published the same formula first,
+    in which case that node is returned; so two threads building the same
+    formula get the same object.
 
     Each node caches its children (``kids``, left to right), its ``height``
     (a leaf has height 1) and, once :func:`normalize` has seen it, its
@@ -95,7 +95,10 @@ class Formula:
     """
 
     def __new__(cls, *args: object) -> Formula:
-        entry = _TABLE.get((cls, *args))
+        try:
+            entry = _TABLE.get((cls, *args))
+        except TypeError:  # an unhashable operand, which _intern names
+            entry = None
         node = entry() if entry is not None else None
         return node if node is not None else _intern(cls, args)
 
@@ -136,14 +139,18 @@ def _intern(cls: type, args: tuple) -> Formula:
     kids = args
     if cls is Atom:
         name = args[0]
-        if not _ATOM_NAME.match(name):
+        if not (isinstance(name, str) and _ATOM_NAME.match(name)):
             raise ValueError(f"invalid atom name {name!r}")
         kids = ()
     node = object.__new__(cls)
     cache = node.__dict__
     cache.update(zip(fields, args))
     cache["kids"] = kids
-    cache["height"] = 1 + max([k.height for k in kids], default=0)
+    try:
+        cache["height"] = 1 + max([k.height for k in kids], default=0)
+    except AttributeError:
+        bad = next(k for k in kids if not isinstance(k, Formula))
+        raise TypeError(f"{cls.__name__} operand is not a formula: {bad!r}") from None
     cache["_normal"] = None  # see normalize
     key = (cls, *args)
     entry = _Entry(node, _forget)
@@ -551,6 +558,9 @@ def substitute_all(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Simultaneously replace every atom named in ``mapping``."""
     if not mapping:
         return phi
+    for letter, replacement in mapping.items():
+        if not isinstance(replacement, Formula):
+            raise TypeError(f"replacement for {letter!r} is not a formula: {replacement!r}")
     image: dict[Formula, Formula] = {}
     for node in _subterms(phi):
         if type(node) is Atom:

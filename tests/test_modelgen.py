@@ -28,6 +28,7 @@ from knowhow import (
     substitute_all,
     theorem_db,
 )
+import knowhow.modelgen as modelgen
 import knowhow.proofs as proofs
 from knowhow.semantics import _compile, _run
 
@@ -56,6 +57,16 @@ class TestGenConfig:
             GenConfig(max_states=2, max_actions=1, seed=-1)
         with pytest.raises(ValueError, match="seed"):
             GenConfig(max_states=2, max_actions=1, seed=2**64)
+        with pytest.raises(ValueError, match="^bad proposition letter 1$"):
+            GenConfig(3, 2, letters=(1,))
+        with pytest.raises(ValueError, match="max_states must be an int, got '3'"):
+            GenConfig("3", 2)
+        with pytest.raises(ValueError, match="max_actions must be an int, got 2.0"):
+            GenConfig(3, 2.0)
+        with pytest.raises(ValueError, match="seed must be an int, got 1.5"):
+            GenConfig(3, 2, seed=1.5)
+        with pytest.raises(ValueError, match="max_states must be an int, got True"):
+            GenConfig(True, 2)
 
     def test_letters_tuple_coercion(self):
         cfg = GenConfig(max_states=2, max_actions=1, letters=["p", "q"])
@@ -193,11 +204,11 @@ class TestSoundnessAudit:
         assert report.models_checked == 64
         assert report.ok
 
-    def test_route_formulas_built_once_per_letter_tuple(self, monkeypatch):
-        # The warm-up builds the theorem database and the routes for p, q;
-        # a repeat audit over the same letters then builds no formula.
-        cfg = GenConfig(max_states=3, max_actions=2, letters=("p", "q"), seed=4)
-        soundness_audit(cfg, 1)
+    def test_audits_build_no_formula(self, monkeypatch):
+        # The warm-up builds the theorem database; the route rows are
+        # stated over schema letters, so no audit over any letters builds
+        # a formula after it.
+        soundness_audit(GenConfig(max_states=3, max_actions=2, letters=("p",), seed=4), 1)
         built = []
         construct = Formula.__new__
 
@@ -206,12 +217,18 @@ class TestSoundnessAudit:
             return construct(cls, *args)
 
         monkeypatch.setattr(Formula, "__new__", staticmethod(counting))
-        for count in (1, 20):
-            assert soundness_audit(cfg, count).ok
+        for letters in (("p", "q"), ("p", "q", "r"), ("p", "q", "r", "o")):
+            cfg = GenConfig(max_states=3, max_actions=2, letters=letters, seed=4)
+            assert soundness_audit(cfg, 3).ok
             assert built == []
-        other = GenConfig(max_states=3, max_actions=2, letters=("p", "q", "r"), seed=4)
-        assert soundness_audit(other, 1).ok
-        assert built
+
+    @pytest.mark.parametrize("mode", ["random", "exhaustive"])
+    def test_instances_per_model(self, mode):
+        for letters, per_model in zip(("p", "pq", "pqr", "pqro"), (18, 80, 234, 552)):
+            cfg = GenConfig(max_states=3, max_actions=2, letters=tuple(letters), seed=5, mode=mode)
+            report = soundness_audit(cfg, 3)
+            assert report.models_checked == 3
+            assert report.instances_checked == 3 * per_model
 
     def test_exhaustive_prefix_of_three_state_space_clean(self):
         cfg = GenConfig(max_states=3, max_actions=2, letters=("p", "q"), mode="exhaustive")
@@ -248,6 +265,8 @@ def _substitute_route_audit(cfg, count):
             instances += 1
             if check_U(model, phi) != (ext(model, U(phi)) == everything):
                 violations.append(AuditViolation(number, "U-ROUTE", (("p", x), ("q", y)), model))
+        for x, y in product(cfg.letters, repeat=2):
+            phi = Implies(Atom(x), Atom(y))
             instances += 1
             expanded = ext(model, Kh(Atom(x), Atom(y))) & ext(model, Not(U(phi)))
             if ext(model, KhPlus(Atom(x), Atom(y))) != expanded:
@@ -286,3 +305,33 @@ class TestAuditRoutes:
         report = soundness_audit(cfg, 40)
         assert report == _substitute_route_audit(cfg, 40)
         assert report.violations and {v.schema for v in report.violations} == {"GOAL-CONJ"}
+
+    def test_planted_routes_confirmed_through_ext_in_row_order(self, monkeypatch):
+        # A non-valid KHPLUS-DEF and a U pair that does not match: every
+        # violation reported must be confirmed through ext and check_U on
+        # the built instance, none may be missed, and they come row by row.
+        p, q = Atom("p"), Atom("q")
+        monkeypatch.setattr(modelgen, "_ROUTES", (
+            ("U-ROUTE", Implies(p, q), U(Implies(q, p))),
+            ("KHPLUS-DEF", parse_formula("Khp(p, q) <-> Kh(p, q)"), None),
+        ))
+        cfg = GenConfig(max_states=3, max_actions=2, letters=("p", "q", "r"), seed=609)
+        report = soundness_audit(cfg, 60)
+        expected = []
+        for number, model in enumerate(generate(cfg, 60), start=1):
+            everything = frozenset(model.states)
+            for x, y in product(cfg.letters, repeat=2):
+                phi = Implies(Atom(x), Atom(y))
+                if check_U(model, phi) != (ext(model, U(Implies(Atom(y), Atom(x)))) == everything):
+                    expected.append((number, "U-ROUTE", (("p", x), ("q", y))))
+            for x, y in product(cfg.letters, repeat=2):
+                if ext(model, KhPlus(Atom(x), Atom(y))) != ext(model, Kh(Atom(x), Atom(y))):
+                    expected.append((number, "KHPLUS-DEF", (("p", x), ("q", y))))
+        routes = [
+            (v.model_number, v.schema, v.assignment)
+            for v in report.violations
+            if v.schema in ("U-ROUTE", "KHPLUS-DEF")
+        ]
+        assert routes == expected
+        assert {"U-ROUTE", "KHPLUS-DEF"} <= {schema for _, schema, _ in routes}
+        assert len(routes) == len(report.violations)

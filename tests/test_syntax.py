@@ -262,6 +262,12 @@ class TestSubstitute:
     def test_no_occurrence(self):
         assert substitute(q, "p", r) == q
 
+    def test_replacement_must_be_a_formula(self):
+        with pytest.raises(TypeError, match="replacement for 'p' is not a formula: 'q'"):
+            substitute(p, "p", "q")
+        with pytest.raises(TypeError, match="replacement for 'r' is not a formula: None"):
+            substitute_all(Kh(p, q), {"p": q, "r": None})
+
     @given(formulas)
     @settings(max_examples=200)
     def test_identity_substitution(self, phi):
@@ -412,6 +418,21 @@ class TestInterning:
         assert parse_formula(print_formula(a)) is a
         assert normalize(U(a)) is normalize(Kh(Not(a), Bot()))
         assert U(a) is not Kh(Not(a), Bot())
+
+    def test_operand_must_be_a_formula(self):
+        baseline = len(syntax._TABLE)
+        with pytest.raises(TypeError, match="Not operand is not a formula: 'p'"):
+            Not("p")
+        with pytest.raises(TypeError, match="Kh operand is not a formula: None"):
+            Kh(p, None)
+        with pytest.raises(TypeError, match="And operand is not a formula: 3"):
+            And(3, q)
+        with pytest.raises(TypeError, match=r"Not operand is not a formula: \[1\]"):
+            Not([1])
+        with pytest.raises(ValueError, match="invalid atom name 1"):
+            Atom(1)
+        assert len(syntax._TABLE) == baseline
+        assert Not(p).child is p
 
     def test_threads_building_the_same_formulas_get_one_object(self):
         # Fresh letters, so that every node is a miss in each thread.
