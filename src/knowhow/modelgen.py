@@ -17,6 +17,7 @@ for non-valid formulas, not a decision procedure for validity.
 
 from __future__ import annotations
 
+import functools
 import random
 import string
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import Iterator, Optional
 
 from .models import Model
 from .proofs import AXIOM_SCHEMAS, theorem_db
-from .semantics import Program, _compile, _run, holds
+from .semantics import Program, _compile, _run, _slices, holds
 from .syntax import _ATOM_NAME, Formula, atom_names, parse_formula
 
 __all__ = [
@@ -53,6 +54,8 @@ class GenConfig:
     mode: str = "random"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.letters, (tuple, list)):
+            raise ValueError(f"letters must be a tuple or list of str, got {self.letters!r}")
         object.__setattr__(self, "letters", tuple(self.letters))
         for field in ("max_states", "max_actions", "seed"):
             value = getattr(self, field)
@@ -83,7 +86,10 @@ class GenConfig:
 
 
 def _state_names(n: int) -> tuple[str, ...]:
-    return tuple(f"s{i}" for i in range(1, n + 1))
+    # From a list, not a generator: CPython sizes a tuple built from a
+    # generator by guessing and resizing, so each one freed would add to
+    # its size's free list, up to 2,000 tuples each (0.86 MB for 1-6 states).
+    return tuple([f"s{i}" for i in range(1, n + 1)])
 
 
 def _action_names(k: int) -> tuple[str, ...]:
@@ -165,7 +171,7 @@ def find_countermodel(
     program = _compile(phi)
     for model in generate(cfg, limit):
         everything = (1 << len(model.states)) - 1
-        missing = everything & ~_run(program, model, model._letters, {})
+        missing = everything & ~_run(program, model, model._letters, {}, everything)
         if missing:
             state = model.states[(missing & -missing).bit_length() - 1]
             if holds(model, state, phi):
@@ -204,15 +210,20 @@ _ROUTES: tuple[tuple[str, Formula, Optional[Formula]], ...] = (
 )
 
 
-def _audit_schemas() -> tuple[tuple[str, Program, Optional[Program], tuple[str, ...]], ...]:
+@functools.lru_cache(maxsize=1)
+def _audit_rows(
+    schemas: tuple[tuple[str, Formula], ...], routes: tuple[tuple[str, Formula, Optional[Formula]], ...]
+) -> tuple[tuple[str, Program, Optional[Program], tuple[str, ...]], ...]:
     """Name, compiled program, compiled U twin (None for a validity) and
-    sorted letters of every audited row: the axiom schemas, the derived
-    theorems, then :data:`_ROUTES`."""
+    sorted letters of every audited row: ``schemas`` (the axioms), the
+    derived theorems, then ``routes``.  Called with the current
+    :data:`~knowhow.proofs.AXIOM_SCHEMAS` and :data:`_ROUTES`, so the rows
+    are built again only when either has changed."""
     named: list[tuple[str, Formula, Optional[Formula]]] = [
-        (name, schema, None) for name, schema in AXIOM_SCHEMAS.items()
+        (name, schema, None) for name, schema in schemas
     ]
     named += [(entry.name, entry.formula, None) for entry in theorem_db()]
-    named += _ROUTES
+    named += routes
     rows = []
     for name, phi, twin in named:
         letters = atom_names(phi)
@@ -228,37 +239,62 @@ def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
     evaluation routes for ``U`` and the ``Khp`` expansion on every
     generated model, under all assignments of schema letters to
     ``cfg.letters``.  The report lists violations by model, then in the
-    row order of :func:`_audit_schemas`; expected none.
+    row order of :func:`_audit_rows`, then by assignment in ``product``
+    order; expected none.
 
     No instance is built.  By the substitution lemma, the extension of
     ``schema[x := y, ...]`` on a model is the extension of ``schema`` with
     each letter ``x`` read as the extension of ``y``; it holds by induction
     on the schema, because ``Kh`` reads only the extensions of its two
-    arguments.  So each row's programs are run once per model and
-    assignment over the letter masks, with one ``Kh`` decision memo per
-    model.  A program is cached on its normal form, and the route rows live
-    as long as the module, so a repeat audit builds and compiles no
-    formula."""
+    arguments.  So each row's programs run once per model, over a wide int
+    that concatenates one slice per assignment in ``product`` order.  For
+    ``n`` states a slice is ``w = 8*ceil(n/8)`` bits, and its padding bits
+    are always 0.  A row with ``k`` letters reads letter ``x`` as the wide
+    int whose slices are the masks ``x`` takes in each assignment; these
+    values and the all-true value are built once per model and arity.
+    ``Kh`` splits its operands into slices and looks each pair up in the
+    model's one decision memo.  A validity row fails on the slices that are
+    not full, a ``U`` pair on the slices where exactly one of its two
+    programs is full.  The memo and the wide ints (one per op, each
+    ``len(cfg.letters)**k * w`` bits) are freed with the model.  The rows
+    are built once while the schemas and routes stay the same, and a
+    program is cached on its normal form, so a repeat audit builds and
+    compiles no formula."""
     if not cfg.letters:
         raise ValueError("the audit needs at least one proposition letter")
-    rows = _audit_schemas()
+    rows = _audit_rows(tuple(AXIOM_SCHEMAS.items()), _ROUTES)
+    arities = {len(row_letters) for *_, row_letters in rows}
+    base = len(cfg.letters)
     violations: list[AuditViolation] = []
     models_checked = 0
     instances = 0
     for number, model in enumerate(generate(cfg, count), start=1):
         models_checked += 1
-        full = (1 << len(model.states)) - 1
-        masks = model._letters
+        size = (len(model.states) + 7) >> 3
+        everything = (1 << len(model.states)) - 1
+        masks = [model._letters.get(y, 0).to_bytes(size, "little") for y in cfg.letters]
+        # Per arity k: the all-true value, and the value of each letter j,
+        # whose slices repeat each mask base**(k-1-j) times in turn.
+        wide = {}
+        for k in arities:
+            atoms = []
+            for j in range(k):
+                run = b"".join(mask * base ** (k - 1 - j) for mask in masks)
+                atoms.append(int.from_bytes(run * base**j, "little"))
+            wide[k] = int.from_bytes(everything.to_bytes(size, "little") * base**k, "little"), atoms
         decisions: dict[tuple[int, int], int] = {}
         for name, program, twin, row_letters in rows:
-            for combo in product(cfg.letters, repeat=len(row_letters)):
-                env = {x: masks.get(y, 0) for x, y in zip(row_letters, combo)}
-                instances += 1
-                ok = _run(program, model, env, decisions) == full
-                if twin is not None:  # both hold everywhere, or neither does
-                    ok = ok == (_run(twin, model, env, decisions) == full)
-                if not ok:
-                    violations.append(
-                        AuditViolation(number, name, tuple(zip(row_letters, combo)), model)
-                    )
+            full, atoms = wide[len(row_letters)]
+            env = dict(zip(row_letters, atoms))
+            value = _run(program, model, env, decisions, full)
+            # A validity must be full; a U pair must be full on both or neither.
+            other = full if twin is None else _run(twin, model, env, decisions, full)
+            instances += base ** len(row_letters)
+            if value != other:
+                width = base ** len(row_letters) * size
+                slices = zip(_slices(value, width, size), _slices(other, width, size))
+                for combo, (x, y) in zip(product(cfg.letters, repeat=len(row_letters)), slices):
+                    if (x == everything) != (y == everything):
+                        assignment = tuple(zip(row_letters, combo))
+                        violations.append(AuditViolation(number, name, assignment, model))
     return AuditReport(models_checked, instances, tuple(violations))

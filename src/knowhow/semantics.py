@@ -11,19 +11,31 @@ and running the program walk explicit stacks and loops, never recursion,
 so formulas nested to the 10,000-level limit evaluate on the caller's
 thread.
 
+A program runs on one slice or many.  The value of a node is a wide
+``int`` that concatenates one slice per evaluation, low slice first.  With
+``n`` states a slice is ``w = 8*ceil(n/8)`` bits, so slices are whole
+bytes, and the padding bits above the ``n``-th of each slice are always
+0.  ``NOT``, ``AND`` and ``TOP`` act on all slices at once, with the
+caller's all-true value (every slice full) in place of the full mask.
+:func:`ext` and :func:`holds` run one slice, the model's own valuation;
+the soundness audit runs one slice per letter assignment of a schema, so
+each schema runs once per model.  A run holds one wide int per op of the
+program, each ``slices * w`` bits, and frees them when it returns.
+
 ``Kh(cond, goal)`` holds either at every state or at none, and reads only
-the extensions of its two arguments.  Its decision is looked up by the
-pair ``(cond mask, goal mask)`` in a ``decisions`` dict that the caller
-passes in, so each distinct pair costs one plan search however many Kh
-nodes share it.  The dict belongs to one model and one caller: decisions
-are never cached across calls, so concurrent evaluations over the same
+the extensions of its two arguments.  A ``Kh`` op splits its operands into
+slices and looks each pair ``(cond mask, goal mask)`` up in a
+``decisions`` dict that the caller passes in, so each distinct pair costs
+one plan search however many Kh nodes and slices share it.  The dict
+belongs to one model and one caller, never to the module: decisions are
+never cached across calls, so concurrent evaluations over the same
 immutable model are safe.  Writing a program to its cache is race-benign:
 threads that miss compute equal programs, and either write wins.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .models import Model
 from .planning import _search
@@ -71,35 +83,61 @@ def _compile(phi: Formula) -> Program:
 
 
 def _run(
-    program: Program, model: Model, env: Mapping[str, int], decisions: dict[tuple[int, int], int]
+    program: Program,
+    model: Model,
+    env: Mapping[str, int],
+    decisions: dict[tuple[int, int], int],
+    full: int,
 ) -> int:
-    """The mask where the compiled formula holds, reading each atom's mask
-    from ``env`` (absent atoms hold nowhere).  ``decisions`` maps a pair
-    ``(cond mask, goal mask)`` to the mask of a Kh node with those operand
-    extensions; it must only ever be used with this one model."""
+    """The value of the compiled formula, in the layout of ``full``, the
+    all-true value: one slice per evaluation, ``8*ceil(n/8)`` bits for ``n``
+    states, with the padding bits above the ``n``-th 0.  The value of one
+    slice is a mask.  ``env`` gives each atom's value in the same layout
+    (absent atoms hold nowhere).  ``decisions`` maps a pair ``(cond mask,
+    goal mask)`` to the mask of a Kh node with those operand extensions;
+    it must only ever be used with this one model."""
+    size = (len(model.states) + 7) >> 3  # bytes in one slice
+    width = (full.bit_length() + 7) >> 3  # bytes in all slices
     everything = (1 << len(model.states)) - 1
     values: list[int] = []
     for code, a, b in program:
         if code == _NOT:
-            values.append(everything ^ values[a])
+            values.append(full ^ values[a])
         elif code == _AND:
             values.append(values[a] & values[b])
         elif code == _ATOM:
             values.append(env.get(a, 0))
         elif code == _KH:
-            pair = (values[a], values[b])
-            found = decisions.get(pair)
-            if found is None:
-                found = decisions[pair] = everything if _search(model, *pair).decision else 0
-            values.append(found)
+            found = []
+            for pair in zip(_slices(values[a], width, size), _slices(values[b], width, size)):
+                mask = decisions.get(pair)
+                if mask is None:
+                    mask = decisions[pair] = everything if _search(model, *pair).decision else 0
+                found.append(mask)
+            values.append(_joined(found, size))
         else:
-            values.append(everything)
+            values.append(full)
     return values[-1]
+
+
+def _slices(value: int, width: int, size: int) -> Sequence[int]:
+    """The slices of ``value``, ``size`` bytes each, in order."""
+    data = value.to_bytes(width, "little")
+    if size == 1:
+        return data
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, width, size)]
+
+
+def _joined(slices: Sequence[int], size: int) -> int:
+    """The value whose slices, ``size`` bytes each, are ``slices``."""
+    if size == 1:
+        return int.from_bytes(bytes(slices), "little")
+    return int.from_bytes(b"".join(s.to_bytes(size, "little") for s in slices), "little")
 
 
 def ext(model: Model, phi: Formula) -> frozenset[str]:
     """The extension of ``phi``: the set of states where it is true."""
-    mask = _run(_compile(phi), model, model._letters, {})
+    mask = _run(_compile(phi), model, model._letters, {}, (1 << len(model.states)) - 1)
     return frozenset(model._names(mask))
 
 

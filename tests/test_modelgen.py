@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from itertools import product
 
 import pytest
@@ -71,6 +72,14 @@ class TestGenConfig:
     def test_letters_tuple_coercion(self):
         cfg = GenConfig(max_states=2, max_actions=1, letters=["p", "q"])
         assert cfg.letters == ("p", "q")
+
+    @pytest.mark.parametrize(
+        "letters, shown",
+        [("pq", "'pq'"), (None, "None"), ({"p"}, "{'p'}"), ((x for x in "pq"), "<generator")],
+    )
+    def test_letters_must_be_tuple_or_list(self, letters, shown):
+        with pytest.raises(ValueError, match=f"^letters must be a tuple or list of str, got {re.escape(shown)}"):
+            GenConfig(max_states=2, max_actions=1, letters=letters)
 
 
 class TestGenerate:
@@ -288,7 +297,7 @@ class TestAuditRoutes:
             for schema, program, letters in programs:
                 for combo in product(cfg.letters, repeat=len(letters)):
                     env = {x: masks.get(y, 0) for x, y in zip(letters, combo)}
-                    compiled = model._names(_run(program, model, env, decisions))
+                    compiled = model._names(_run(program, model, env, decisions, (1 << len(model.states)) - 1))
                     instance = substitute_all(schema, {x: Atom(y) for x, y in zip(letters, combo)})
                     assert frozenset(compiled) == ext(model, instance), (schema, combo)
                     compared += 1
@@ -305,6 +314,20 @@ class TestAuditRoutes:
         report = soundness_audit(cfg, 40)
         assert report == _substitute_route_audit(cfg, 40)
         assert report.violations and {v.schema for v in report.violations} == {"GOAL-CONJ"}
+
+    def test_schema_planted_after_a_clean_audit_is_reported(self, monkeypatch):
+        # The rows are built once; a schema planted after an audit must
+        # still be audited.
+        cfg = GenConfig(max_states=4, max_actions=2, letters=("p", "q", "r"), seed=608)
+        assert soundness_audit(cfg, 40).ok
+        monkeypatch.setitem(
+            proofs.AXIOM_SCHEMAS, "GOAL-CONJ", parse_formula("Kh(p, q) & Kh(p, r) -> Kh(p, q & r)")
+        )
+        report = soundness_audit(cfg, 40)
+        assert report == _substitute_route_audit(cfg, 40)
+        assert report.violations and {v.schema for v in report.violations} == {"GOAL-CONJ"}
+        monkeypatch.undo()
+        assert soundness_audit(cfg, 40).ok
 
     def test_planted_routes_confirmed_through_ext_in_row_order(self, monkeypatch):
         # A non-valid KHPLUS-DEF and a U pair that does not match: every
@@ -335,3 +358,49 @@ class TestAuditRoutes:
         assert routes == expected
         assert {"U-ROUTE", "KHPLUS-DEF"} <= {schema for _, schema, _ in routes}
         assert len(routes) == len(report.violations)
+
+
+class TestAuditSlices:
+    """The audit runs each row once per model over one slice per
+    assignment, 8*ceil(n/8) bits each; the boundaries of that layout must
+    not change the report."""
+
+    @staticmethod
+    def _configs(states, letters, how_many):
+        """The first ``how_many`` configurations, by seed, whose first
+        model has exactly ``states`` states."""
+        found = []
+        for seed in range(10_000):
+            cfg = GenConfig(max_states=states, max_actions=2, letters=letters, seed=seed)
+            (model,) = generate(cfg, 1)
+            if len(model.states) == states:
+                found.append(cfg)
+                if len(found) == how_many:
+                    return found
+        raise AssertionError("no such seed")
+
+    @pytest.mark.parametrize(
+        "states, letters, how_many",
+        [
+            (1, ("p", "q", "r"), 20),  # slices one state wide
+            (8, ("p", "q"), 4),  # the widest one-byte slices
+            (9, ("p", "q", "r"), 3),  # two-byte slices
+            (3, ("p", "q", "r", "o", "s"), 2),  # 625 slices in the arity-4 row
+        ],
+    )
+    def test_report_equals_substitute_route(self, states, letters, how_many):
+        for cfg in self._configs(states, letters, how_many):
+            report = soundness_audit(cfg, 1)
+            assert report.ok
+            assert report == _substitute_route_audit(cfg, 1)
+
+    def test_planted_schema_on_two_byte_slices(self, monkeypatch):
+        # GOAL-CONJ rarely fails on models this dense; this stream has
+        # failing models of 9 or more states among its first ten.
+        wrong = parse_formula("Kh(p, q) & Kh(p, r) -> Kh(p, q & r)")
+        monkeypatch.setitem(proofs.AXIOM_SCHEMAS, "GOAL-CONJ", wrong)
+        cfg = GenConfig(max_states=10, max_actions=2, letters=("p", "q", "r"), seed=619)
+        report = soundness_audit(cfg, 10)
+        assert report == _substitute_route_audit(cfg, 10)
+        assert {v.schema for v in report.violations} == {"GOAL-CONJ"}
+        assert any(len(v.model.states) > 8 for v in report.violations)
