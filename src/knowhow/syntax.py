@@ -18,6 +18,15 @@ Grammar (whitespace between tokens is insignificant)::
             | 'Kh' '(' phi ',' phi ')' | 'Khp' '(' phi ',' phi ')'
             | 'top' | 'bot' | ident | '(' phi ')'
 
+The tokens are ``<->``, ``->``, ``(``, ``)``, ``,``, ``&``, ``|``, ``~``
+and words ``[A-Za-z][A-Za-z0-9_]*``.  A word is a keyword (``top``,
+``bot``, ``Kh``, ``Khp``, ``U``), else an identifier if it starts with a
+letter in a-z, else an unknown keyword; any other non-whitespace character
+is an error.  The whole text is tokenized before it is parsed, so an
+unknown keyword or character is reported at the first one in the text,
+before any grammar error.  Error offsets are 1-based, and the end of input
+is at ``len(text) + 1``.
+
 Atom names match ``[a-z][a-zA-Z0-9_]*`` and must not be keywords.  The
 maximum nesting depth of a parsed formula is 10,000; deeper input is a
 hard error.
@@ -37,7 +46,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 __all__ = [
     "Formula",
@@ -58,7 +67,6 @@ __all__ = [
     "normalize",
     "substitute",
     "substitute_all",
-    "children",
     "formula_height",
     "atom_names",
     "MAX_NESTING_DEPTH",
@@ -225,11 +233,6 @@ class KhPlus(Formula):
     goal: Formula
 
 
-def children(phi: Formula) -> tuple[Formula, ...]:
-    """The immediate subformulas of ``phi``, left to right."""
-    return phi.kids
-
-
 def formula_height(phi: Formula) -> int:
     """Height of the AST (a leaf has height 1)."""
     return phi.height
@@ -260,9 +263,19 @@ def atom_names(phi: Formula) -> frozenset[str]:
 
 # --- Tokenizer ------------------------------------------------------------
 
-# One token per match, punctuation first; whitespace matches nothing, so
-# finditer skips it, and any other character falls through to the last group.
-_TOKEN = re.compile(r"(<->|->|[(),&|~])|([A-Za-z][A-Za-z0-9_]*)|(\S)")
+# One token per match, punctuation first: '<->', '->', one of "(),&|~", a
+# word, or any other non-whitespace character.  Whitespace (Unicode's, so
+# also U+00A0) matches nothing, so findall skips it.  The pattern has no
+# groups, so findall returns the token texts in one C-level pass, and the
+# parser works on those texts alone, with "" appended as the end of input.
+# Offsets are computed by _offsets, from the same pattern, only when an
+# error is raised.
+_TOKEN = re.compile(r"<->|->|[(),&|~]|[A-Za-z][A-Za-z0-9_]*|\S")
+
+# The texts the grammar names; "" is the end of input.  Any other text is
+# an identifier if it starts with an ASCII lowercase letter, and no token
+# otherwise.
+_FIXED = frozenset({"<->", "->", "(", ")", ",", "&", "|", "~", "", *KEYWORDS})
 
 
 class FormulaSyntaxError(ValueError):
@@ -281,29 +294,35 @@ class FormulaSyntaxError(ValueError):
         super().__init__(detail)
 
 
-class _Token(NamedTuple):
-    kind: str  # punctuation, keyword, "ident" or "end"
-    text: str
-    pos: int  # 1-based character offset
+def _bad(words: Iterable[str]) -> list[str]:
+    """The distinct texts among ``words`` that are no token: outside
+    ``_FIXED`` and not starting with a letter in a-z ("{" follows "z")."""
+    return [w for w in set(words) - _FIXED if not "a" <= w < "{"]
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for match in _TOKEN.finditer(text):
-        punct, word, other = match.groups()
-        pos = match.start() + 1
-        if punct:
-            tokens.append(_Token(punct, punct, pos))
-        elif word in KEYWORDS:
-            tokens.append(_Token(word, word, pos))
-        elif word and word[0].islower():
-            tokens.append(_Token("ident", word, pos))
-        elif word:
-            raise FormulaSyntaxError(f"unknown keyword {word!r}", pos)
-        else:
-            raise FormulaSyntaxError(f"unexpected character {other!r}", pos)
-    tokens.append(_Token("end", "", len(text) + 1))
+def _tokenize(text: str) -> list[str]:
+    """The token texts of ``text``, then "" for the end of input."""
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    if _bad(tokens):
+        _offsets(text)  # raises at the first bad token
     return tokens
+
+
+def _offsets(text: str) -> list[int]:
+    """The 1-based offset of each token of ``text``, then ``len(text) + 1``
+    for the end of input.  Computed only for an error message; raises at
+    the first text that is no token."""
+    offsets = []
+    for match in _TOKEN.finditer(text):
+        word, pos = match.group(), match.start() + 1
+        if _bad((word,)):
+            # A word starting with a letter in A-Z ("[" follows "Z").
+            what = "unknown keyword" if "A" <= word < "[" else "unexpected character"
+            raise FormulaSyntaxError(f"{what} {word!r}", pos)
+        offsets.append(pos)
+    offsets.append(len(text) + 1)
+    return offsets
 
 
 # --- Parser ---------------------------------------------------------------
@@ -330,13 +349,13 @@ _UNARY_EXPECTED = ("'~'", "'U'", "'Kh'", "'Khp'", "'top'", "'bot'", "identifier"
 _END_EXPECTED = ("'->'", "'<->'", "'|'", "'&'", "end of input")
 
 
-def _unexpected(tok: _Token, expected: tuple[str, ...]) -> FormulaSyntaxError:
-    what = "end of input" if tok.kind == "end" else f"token {tok.text!r}"
-    return FormulaSyntaxError(f"unexpected {what}", tok.pos, expected)
+def _unexpected(text: str, tokens: list[str], i: int, expected: tuple[str, ...]) -> FormulaSyntaxError:
+    what = f"token {tokens[i]!r}" if tokens[i] else "end of input"
+    return FormulaSyntaxError(f"unexpected {what}", _offsets(text)[i], expected)
 
 
-def _too_deep(tok: _Token) -> FormulaSyntaxError:
-    return FormulaSyntaxError(f"nesting depth exceeds {MAX_NESTING_DEPTH}", tok.pos)
+def _too_deep(text: str, i: int) -> FormulaSyntaxError:
+    return FormulaSyntaxError(f"nesting depth exceeds {MAX_NESTING_DEPTH}", _offsets(text)[i])
 
 
 def parse_formula(text: str) -> Formula:
@@ -351,14 +370,13 @@ def parse_formula(text: str) -> Formula:
     stack: list[tuple] = [(_END,), (_PHI, 1), (_DISJ, 1, None), (_CONJ, 1, None)]
     value = None  # the operand just completed; None while parsing a unary
     while True:
-        tok = tokens[i]
-        kind = tok.kind
+        kind = tokens[i]
         if value is None:
             if depth > MAX_NESTING_DEPTH:
-                raise _too_deep(tok)
+                raise _too_deep(text, i)
             i += 1
-            if kind == "ident":
-                value = Atom(tok.text)
+            if kind not in _FIXED:
+                value = Atom(kind)
             elif kind == "~" or kind == "U":
                 stack.append((_APPLY, Not if kind == "~" else U))
                 depth += 1
@@ -366,8 +384,8 @@ def parse_formula(text: str) -> Formula:
                 depth += 1
                 stack += (_PAREN,), (_PHI, depth), (_DISJ, depth, None), (_CONJ, depth, None)
             elif kind == "Kh" or kind == "Khp":
-                if tokens[i].kind != "(":
-                    raise _unexpected(tokens[i], ("'('",))
+                if tokens[i] != "(":
+                    raise _unexpected(text, tokens, i, ("'('",))
                 i += 1
                 depth += 1
                 cls = Kh if kind == "Kh" else KhPlus
@@ -377,7 +395,7 @@ def parse_formula(text: str) -> Formula:
             elif kind == "bot":
                 value = Bot()
             else:
-                raise _unexpected(tok, _UNARY_EXPECTED)
+                raise _unexpected(text, tokens, i - 1, _UNARY_EXPECTED)
             continue
         frame = stack.pop()
         code = frame[0]
@@ -385,28 +403,28 @@ def parse_formula(text: str) -> Formula:
             if frame[2] is not None:
                 value = And(frame[2], value)
             if kind == "&":
-                i += 1
                 depth = frame[1] + 1
                 if depth > MAX_NESTING_DEPTH:
-                    raise _too_deep(tok)
+                    raise _too_deep(text, i)
+                i += 1
                 stack.append((_CONJ, depth, value))
                 value = None
         elif code == _DISJ:
             if frame[2] is not None:
                 value = Or(frame[2], value)
             if kind == "|":
-                i += 1
                 depth = frame[1] + 1
                 if depth > MAX_NESTING_DEPTH:
-                    raise _too_deep(tok)
+                    raise _too_deep(text, i)
+                i += 1
                 stack += (_DISJ, depth, value), (_CONJ, depth, None)
                 value = None
         elif code == _PHI:
             if kind == "->" or kind == "<->":
-                i += 1
                 depth = frame[1] + 1
                 if depth > MAX_NESTING_DEPTH:
-                    raise _too_deep(tok)
+                    raise _too_deep(text, i)
+                i += 1
                 if kind == "->":
                     stack += (_APPLY, Implies, value), (_PHI, depth), (_DISJ, depth, None), (_CONJ, depth, None)
                 else:
@@ -416,25 +434,25 @@ def parse_formula(text: str) -> Formula:
             value = frame[1](*frame[2:], value)
         elif code == _PAREN:
             if kind != ")":
-                raise _unexpected(tok, ("')'",))
+                raise _unexpected(text, tokens, i, ("')'",))
             i += 1
         elif code == _KH:
             _, cls, d, cond = frame
             if cond is None:
                 if kind != ",":
-                    raise _unexpected(tok, ("','",))
+                    raise _unexpected(text, tokens, i, ("','",))
                 i += 1
                 depth = d
                 stack += (_KH, cls, d, value), (_PHI, d), (_DISJ, d, None), (_CONJ, d, None)
                 value = None
             else:
                 if kind != ")":
-                    raise _unexpected(tok, ("')'",))
+                    raise _unexpected(text, tokens, i, ("')'",))
                 i += 1
                 value = cls(cond, value)
         else:  # _END
-            if kind != "end":
-                raise _unexpected(tok, _END_EXPECTED)
+            if kind:
+                raise _unexpected(text, tokens, i, _END_EXPECTED)
             return value
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -27,7 +29,6 @@ from knowhow import (
     U,
     atom_names,
     check_proof,
-    children,
     ext,
     formula_height,
     is_tautology,
@@ -166,11 +167,105 @@ class TestParse:
     def test_unexpected_character(self):
         with pytest.raises(FormulaSyntaxError) as exc:
             parse_formula("p + q")
-        assert exc.value.offset == 3
+        assert (str(exc.value), exc.value.offset, exc.value.expected) == (
+            "unexpected character '+' at offset 3", 3, ()
+        )
 
     def test_trailing_garbage(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("p q")
+
+
+# Formula texts are drawn from these pieces, glued by these gaps.  The
+# second row of pieces holds no token: a capitalised word that is no
+# keyword, or a character outside the token set (``'<-'`` and ``'-'`` are
+# no arrows, and ``'é'`` is a lowercase letter, though not an ASCII one).
+_GOOD_PIECES = ("p", "r1", "Kh", "Khp", "U", "top", "bot", "end", "(", ")", ",", "&", "|", "~", "->", "<->")
+_BAD_PIECES = ("Top", "KH", "<-", "-", "<", "1", "_", "é", "$")
+_GAPS = ("", " ", " ", "\t", "  ")
+
+_NAMED = re.compile(r"(unexpected token|unexpected character|unknown keyword) '([^']*)' at offset \d+( \(expected .*\))?")
+
+
+def _random_text(rng: random.Random) -> str:
+    pieces = []
+    for _ in range(rng.randrange(12)):
+        pieces.append(rng.choice(_BAD_PIECES if rng.random() < 0.08 else _GOOD_PIECES))
+        pieces.append(rng.choice(_GAPS))
+    return rng.choice(_GAPS) + "".join(pieces)
+
+
+def _outcome(text: str) -> str:
+    try:
+        return print_formula(parse_formula(text))
+    except FormulaSyntaxError as exc:
+        return repr((str(exc), exc.offset, exc.expected))
+
+
+class TestTokenizer:
+    def _error(self, text):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(text)
+        return str(exc.value), exc.value.offset, exc.value.expected
+
+    def test_tokenizing_comes_before_parsing(self):
+        assert self._error("p q $") == ("unexpected character '$' at offset 5", 5, ())
+
+    def test_first_bad_token_in_text_order_wins(self):
+        assert self._error("Foo $") == ("unknown keyword 'Foo' at offset 1", 1, ())
+        assert self._error("$ Foo") == ("unexpected character '$' at offset 1", 1, ())
+
+    def test_non_ascii_letter_is_a_character_error(self):
+        # 'é' is lowercase, but no identifier starts with it.
+        assert self._error("p & é") == ("unexpected character 'é' at offset 5", 5, ())
+
+    def test_keyword_lookalike_is_an_atom(self):
+        assert parse_formula("end") is Atom("end")
+
+    def test_end_of_input_offset(self):
+        unary = ("'~'", "'U'", "'Kh'", "'Khp'", "'top'", "'bot'", "identifier", "'('")
+        detail = " (expected " + " or ".join(unary) + ")"
+        assert self._error("") == ("unexpected end of input at offset 1" + detail, 1, unary)
+        assert self._error("  ") == ("unexpected end of input at offset 3" + detail, 3, unary)
+        assert self._error("p\t&\t  (q") == ("unexpected end of input at offset 9 (expected ')')", 9, ("')'",))
+
+    def test_arrow_fragments_are_characters(self):
+        assert self._error("p <- q") == ("unexpected character '<' at offset 3", 3, ())
+        assert self._error("p -") == ("unexpected character '-' at offset 3", 3, ())
+
+    def test_unicode_whitespace_separates_tokens(self):
+        assert parse_formula("p\xa0&\xa0q") is And(p, q)
+
+    @given(st.lists(st.sampled_from(_GOOD_PIECES + _BAD_PIECES + _GAPS), max_size=16).map("".join))
+    @settings(max_examples=500)
+    def test_errors_point_at_what_they_name(self, text):
+        try:
+            phi = parse_formula(text)
+        except FormulaSyntaxError as exc:
+            message, offset = str(exc), exc.offset
+            if message.startswith("unexpected end of input"):
+                assert offset == len(text) + 1
+                return
+            kind, named, _ = _NAMED.fullmatch(message).groups()
+            assert text[offset - 1 :].startswith(named)
+            if kind != "unexpected token":
+                # No bad token before this one: the text up to it tokenizes.
+                try:
+                    parse_formula(text[: offset - 1])
+                except FormulaSyntaxError as earlier:
+                    assert not str(earlier).startswith(("unexpected character", "unknown keyword"))
+        else:
+            assert parse_formula(print_formula(phi)) is phi
+
+    def test_golden_corpus(self):
+        """20,000 seeded texts give the pinned outcomes: the printed formula,
+        or the error's message, offset and expected tokens.  The digest was
+        computed with the per-token tokenizer of commit 58f0c80, before
+        ``_tokenize`` became one ``findall`` pass."""
+        rng = random.Random(17)
+        lines = [_outcome(_random_text(rng)) for _ in range(20_000)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "faffec37266cb5631d002fe608b48f7e249968aa6298c981d5b48dd0c4745ace"
 
 
 class TestPrint:
@@ -232,7 +327,7 @@ class TestNormalize:
             while stack:
                 node = stack.pop()
                 assert isinstance(node, core_types)
-                stack.extend(children(node))
+                stack.extend(node.kids)
 
     @given(formulas)
     @settings(max_examples=300)
@@ -278,7 +373,7 @@ class TestSubstitute:
     @settings(max_examples=200)
     def test_compositional(self, phi, letter, repl):
         whole = substitute(phi, letter, repl)
-        kids = children(phi)
+        kids = phi.kids
         if kids:
             rebuilt = type(phi)(*(substitute(k, letter, repl) for k in kids))
             assert whole == rebuilt
