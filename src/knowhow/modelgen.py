@@ -9,7 +9,10 @@ exactly ``max_states`` states and ``max_actions`` actions in a fixed
 canonical order (edge bitmask outer, valuation bitmask inner, low bits
 first), so sparse models come first; the closed-form count is
 :func:`exhaustive_size`.  Both streams are deterministic functions of the
-configuration: identical configurations yield identical streams.
+configuration: identical configurations yield identical streams.  Both
+modes build the masks that :class:`~knowhow.models.Model` stores, in that
+order, for its unchecked constructor.  Exhaustive mode shares an edge
+bitmask's successor rows across its valuations, but never a memo.
 
 Bounded countermodel search is enumerate-then-check: it is a falsifier
 for non-valid formulas, not a decision procedure for validity.
@@ -21,12 +24,12 @@ import functools
 import random
 import string
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Optional
 
 from .models import Model
 from .proofs import AXIOM_SCHEMAS, theorem_db
-from .semantics import Program, _compile, _run, _slices, holds
+from .semantics import Program, _compile, _run, _slices
 from .syntax import _ATOM_NAME, Formula, atom_names, parse_formula
 
 __all__ = [
@@ -61,10 +64,9 @@ class GenConfig:
             value = getattr(self, field)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{field} must be an int, got {value!r}")
-        if self.max_states < 1:
-            raise ValueError("max_states must be at least 1")
-        if self.max_actions < 1:
-            raise ValueError("max_actions must be at least 1")
+        for field in ("max_states", "max_actions"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be at least 1")
         if self.max_actions > len(string.ascii_lowercase):
             raise ValueError("at most 26 actions are supported")
         if not 0 <= self.seed < 2**64:
@@ -92,49 +94,40 @@ def _state_names(n: int) -> tuple[str, ...]:
     return tuple([f"s{i}" for i in range(1, n + 1)])
 
 
-def _action_names(k: int) -> tuple[str, ...]:
-    return tuple(string.ascii_lowercase[:k])
-
-
-def _random_models(cfg: GenConfig, count: int) -> Iterator[Model]:
+def _random_models(cfg: GenConfig) -> Iterator[Model]:
     rng = random.Random(cfg.seed)
-    actions = _action_names(cfg.max_actions)
-    for _ in range(count):
+    actions = tuple(string.ascii_lowercase[: cfg.max_actions])
+    while True:
         states = _state_names(rng.randint(1, cfg.max_states))
-        transitions: dict[str, set[tuple[str, str]]] = {}
-        for a in actions:
-            pairs = set()
-            for src in states:
-                for dst in states:
+        rows = []
+        for _a in actions:
+            succ = []
+            for _src in states:
+                row = 0
+                for dst in range(len(states)):
                     if rng.getrandbits(1):
-                        pairs.add((src, dst))
-            transitions[a] = pairs
-        valuation: dict[str, set[str]] = {}
-        for s in states:
-            valuation[s] = {letter for letter in cfg.letters if rng.getrandbits(1)}
-        yield Model(states, actions, transitions, valuation)
+                        row |= 1 << dst
+                succ.append(row)
+            rows.append(tuple(succ))
+        letters: dict[str, int] = {}
+        for i in range(len(states)):
+            for letter in cfg.letters:
+                if rng.getrandbits(1):
+                    letters[letter] = letters.get(letter, 0) | 1 << i
+        yield Model._of_masks(states, actions, {s: i for i, s in enumerate(states)}, rows, letters)
 
 
-def _exhaustive_models(cfg: GenConfig, count: Optional[int]) -> Iterator[Model]:
+def _exhaustive_models(cfg: GenConfig) -> Iterator[Model]:
     states = _state_names(cfg.max_states)
-    actions = _action_names(cfg.max_actions)
-    edge_slots = [(a, src, dst) for a in actions for src in states for dst in states]
-    val_slots = [(letter, s) for letter in cfg.letters for s in states]
-    emitted = 0
-    for edge_mask in range(1 << len(edge_slots)):
-        transitions: dict[str, set[tuple[str, str]]] = {a: set() for a in actions}
-        for bit, (a, src, dst) in enumerate(edge_slots):
-            if edge_mask >> bit & 1:
-                transitions[a].add((src, dst))
-        for val_mask in range(1 << len(val_slots)):
-            if count is not None and emitted >= count:
-                return
-            valuation: dict[str, set[str]] = {s: set() for s in states}
-            for bit, (letter, s) in enumerate(val_slots):
-                if val_mask >> bit & 1:
-                    valuation[s].add(letter)
-            emitted += 1
-            yield Model(states, actions, transitions, valuation)
+    actions = tuple(string.ascii_lowercase[: cfg.max_actions])
+    index = {s: i for i, s in enumerate(states)}
+    n, field = len(states), (1 << len(states)) - 1
+    for edges in range(1 << len(actions) * n * n):
+        # Action k's successor row of state i, and letter j's mask, are n-bit fields.
+        rows = tuple([tuple([edges >> (k * n + i) * n & field for i in range(n)]) for k in range(len(actions))])
+        for valuation in range(1 << len(cfg.letters) * n):
+            letters = {x: mask for j, x in enumerate(cfg.letters) if (mask := valuation >> j * n & field)}
+            yield Model._of_masks(states, actions, index, rows, letters)
 
 
 def exhaustive_size(cfg: GenConfig) -> int:
@@ -147,15 +140,16 @@ def generate(cfg: GenConfig, count: Optional[int] = None) -> Iterator[Model]:
     """Stream models per ``cfg``; ``count`` caps the stream.
 
     Random mode requires an explicit ``count``; exhaustive mode emits the
-    whole space when ``count`` is None.  A negative ``count`` is an error.
+    whole space when ``count`` is None, else ``count`` is an ``int`` >= 0.
     """
-    if count is not None and count < 0:
-        raise ValueError(f"model count must be non-negative, got {count}")
-    if cfg.mode == "random":
-        if count is None:
+    if count is None:
+        if cfg.mode == "random":
             raise ValueError("random generation needs an explicit count")
-        return _random_models(cfg, count)
-    return _exhaustive_models(cfg, count)
+    elif not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError(f"model count must be an int, got {count!r}")
+    elif count < 0:
+        raise ValueError(f"model count must be non-negative, got {count}")
+    return islice(_random_models(cfg) if cfg.mode == "random" else _exhaustive_models(cfg), count)
 
 
 def find_countermodel(
@@ -165,18 +159,14 @@ def find_countermodel(
 
     Deterministic given ``cfg``.  ``limit`` caps how many models are tried
     (required for random mode).  ``phi`` is normalized and compiled once
-    for the whole search.  A hit is confirmed by an independent
-    re-evaluation through :func:`holds` before being returned.
+    for the whole search, and each model runs that program once.
     """
     program = _compile(phi)
     for model in generate(cfg, limit):
         everything = (1 << len(model.states)) - 1
         missing = everything & ~_run(program, model, model._letters, {}, everything)
         if missing:
-            state = model.states[(missing & -missing).bit_length() - 1]
-            if holds(model, state, phi):
-                raise RuntimeError("countermodel confirmation failed")
-            return model, state
+            return model, model.states[(missing & -missing).bit_length() - 1]
     return None
 
 
@@ -266,10 +256,8 @@ def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
     arities = {len(row_letters) for *_, row_letters in rows}
     base = len(cfg.letters)
     violations: list[AuditViolation] = []
-    models_checked = 0
-    instances = 0
+    number = instances = 0
     for number, model in enumerate(generate(cfg, count), start=1):
-        models_checked += 1
         size = (len(model.states) + 7) >> 3
         everything = (1 << len(model.states)) - 1
         masks = [model._letters.get(y, 0).to_bytes(size, "little") for y in cfg.letters]
@@ -297,4 +285,4 @@ def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
                     if (x == everything) != (y == everything):
                         assignment = tuple(zip(row_letters, combo))
                         violations.append(AuditViolation(number, name, assignment, model))
-    return AuditReport(models_checked, instances, tuple(violations))
+    return AuditReport(number, instances, tuple(violations))

@@ -62,6 +62,8 @@ class Model:
     or to ``-1`` when some member of the mask has no successor.  ``_mask``
     resolves every state name a caller passes, ``_unknown_action`` names
     the first unknown action of a plan; an unhashable name is never known.
+    ``__init__`` is the one validating path; ``_of_masks``, called only by
+    :mod:`~knowhow.modelgen`, takes the masks as stored and checks nothing.
     """
 
     __slots__ = ("states", "actions", "_index", "_moves", "_letters", "_images")
@@ -73,8 +75,7 @@ class Model:
         transitions: Mapping[str, Iterable[tuple[str, str]]],
         valuation: Mapping[str, Iterable[str]],
     ):
-        states = tuple(states)
-        actions = tuple(actions)
+        states, actions = tuple(states), tuple(actions)
         if not states:
             raise ValueError("a model needs at least one state")
         index = _positions(states, "state id")
@@ -82,25 +83,20 @@ class Model:
         for label in transitions:
             if label not in declared:
                 raise ValueError(f"transition label {label!r} is not a declared action")
-        moves: dict[str, tuple[int, tuple[int, ...]]] = {}
-        images: dict[str, dict[int, int]] = {}
+        rows = []
         for a in actions:
             edges = transitions.get(a, ())
             succ = [0] * len(states)
-            can = 0
             try:
                 edges = tuple(edges)
                 for edge in edges:
                     if not _is_pair(edge):
                         raise TypeError
                     src, dst = edge
-                    i = index[src]
-                    succ[i] |= 1 << index[dst]
-                    can |= 1 << i
+                    succ[index[src]] |= 1 << index[dst]
             except (KeyError, TypeError):
                 raise _edge_error(a, edges, index) from None
-            moves[a] = (can, tuple(succ))
-            images[a] = {}
+            rows.append(tuple(succ))
         for s in valuation:
             if s not in index:
                 raise ValueError(f"valuation mentions undeclared state {s!r}")
@@ -114,13 +110,29 @@ class Model:
                     f"valuation of state {s!r} is not a collection of hashable letters: "
                     f"{valuation[s]!r}"
                 ) from None
+        self._store(states, actions, index, rows, letters)
 
+    @classmethod
+    def _of_masks(cls, states: tuple, actions: tuple, index: dict, rows: Sequence, letters: dict) -> Model:
+        """The model of ``rows`` (each action's successor masks) and nonzero ``letters``, unchecked."""
+        return object.__new__(cls)._store(states, actions, index, rows, letters)
+
+    def _store(self, states: tuple, actions: tuple, index: dict, rows: Sequence, letters: dict) -> Model:
+        """The one storing step: set the slots, with a fresh ``_images`` memo."""
+        moves: dict[str, tuple[int, tuple[int, ...]]] = {}
+        for a, succ in zip(actions, rows):
+            can = 0
+            for i, row in enumerate(succ):
+                if row:
+                    can |= 1 << i
+            moves[a] = (can, succ)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_moves", moves)
         object.__setattr__(self, "_letters", letters)
-        object.__setattr__(self, "_images", images)
+        object.__setattr__(self, "_images", {a: {} for a in actions})
+        return self
 
     @property
     def transitions(self) -> dict[str, frozenset[tuple[str, str]]]:

@@ -31,6 +31,7 @@ from knowhow import (
     U,
     find_plan,
     generate,
+    normalize,
     print_formula,
     verify_plan,
 )
@@ -78,6 +79,25 @@ def plan_exists_bruteforce(model: Model, starts, goals, max_len: int) -> bool:
         if not any_executable:
             return False
     return False
+
+
+def ext_reference(model: Model, phi: Formula) -> frozenset[str]:
+    """Independent evaluator: the literal truth definition, pointwise, with
+    plan existence decided by brute-force enumeration through verify_plan."""
+    phi = normalize(phi)
+    if isinstance(phi, Top):
+        return frozenset(model.states)
+    if isinstance(phi, Atom):
+        return frozenset(s for s in model.states if phi.name in model.valuation[s])
+    if isinstance(phi, Not):
+        return frozenset(model.states) - ext_reference(model, phi.child)
+    if isinstance(phi, And):
+        return ext_reference(model, phi.left) & ext_reference(model, phi.right)
+    assert isinstance(phi, Kh)
+    cond = ext_reference(model, phi.cond)
+    goal = ext_reference(model, phi.goal)
+    works = plan_exists_bruteforce(model, cond, goal, 2 ** len(model.states))
+    return frozenset(model.states) if works else frozenset()
 
 
 def random_state_sets(model: Model, rng: random.Random) -> tuple[frozenset[str], frozenset[str]]:

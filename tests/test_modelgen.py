@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import random
 import re
 from itertools import product
 
@@ -14,6 +16,7 @@ from knowhow import (
     Implies,
     Kh,
     KhPlus,
+    Model,
     Not,
     U,
     atom_names,
@@ -25,13 +28,17 @@ from knowhow import (
     generate,
     holds,
     parse_formula,
+    parse_model,
     soundness_audit,
     substitute_all,
     theorem_db,
+    verify_plan,
 )
 import knowhow.modelgen as modelgen
 import knowhow.proofs as proofs
 from knowhow.semantics import _compile, _run
+
+from helpers import ext_reference, random_formula
 
 
 class TestGenConfig:
@@ -105,6 +112,20 @@ class TestGenerate:
         with pytest.raises(ValueError, match="count"):
             list(generate(cfg))
 
+    @pytest.mark.parametrize("mode", ["random", "exhaustive"])
+    @pytest.mark.parametrize("count, shown", [(1.5, "1.5"), ("2", "'2'"), (True, "True"), (2.0, "2.0")])
+    def test_count_must_be_an_int(self, mode, count, shown):
+        cfg = GenConfig(max_states=2, max_actions=1, letters=("p",), mode=mode)
+        message = f"^model count must be an int, got {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=message):
+            generate(cfg, count)
+        with pytest.raises(ValueError, match=message):
+            find_countermodel(parse_formula("p"), cfg, count)
+        with pytest.raises(ValueError, match=message):
+            soundness_audit(cfg, count)
+        with pytest.raises(ValueError, match="^model count must be non-negative, got -5$"):
+            generate(cfg, -5)
+
     def test_random_respects_bounds(self):
         cfg = GenConfig(max_states=3, max_actions=2, letters=("p",), seed=8)
         for model in generate(cfg, 50):
@@ -146,6 +167,79 @@ class TestGenerate:
         ]
 
 
+_LETTERS = ("p", "q", "r", "o")
+# Every exhaustive space up to 2 states x 2 actions x 2 letters, 10,000-model
+# prefixes of random configs (states, actions, letters, seed), and prefixes
+# of three larger exhaustive spaces.
+_EXHAUSTIVE_SPACES = [(n, k, _LETTERS[:j]) for n in (1, 2) for k in (1, 2) for j in range(3)]
+_RANDOM_PREFIXES = [
+    (1, 1, 0, 0), (4, 3, 2, 0),
+    (2, 2, 4, 7), (6, 1, 1, 7),
+    (3, 3, 3, 2**64 - 1), (6, 3, 4, 2**64 - 1),
+]
+_EXHAUSTIVE_PREFIXES = [(3, 2, ("p", "q"), 10_000), (4, 1, ("p",), 10_000), (4, 2, ("p", "q", "r"), 5_000)]
+
+
+def _pinned_streams():
+    for n, k, letters in _EXHAUSTIVE_SPACES:
+        yield GenConfig(n, k, letters, mode="exhaustive"), None
+    for n, k, j, seed in _RANDOM_PREFIXES:
+        yield GenConfig(n, k, _LETTERS[:j], seed=seed), 10_000
+    for n, k, letters, count in _EXHAUSTIVE_PREFIXES:
+        yield GenConfig(n, k, letters, mode="exhaustive"), count
+
+
+class TestStreamPins:
+    def test_golden_digest(self):
+        """One sha256 over ``format_model`` of every pinned model, computed
+        before the generators built masks directly, while they still built
+        each model from (source, target) name pairs through ``Model``."""
+        digest = hashlib.sha256()
+        total = 0
+        for cfg, count in _pinned_streams():
+            digest.update(repr((cfg, count)).encode())
+            for model in generate(cfg, count):
+                digest.update(format_model(model).encode())
+                total += 1
+        assert total == 90_754
+        assert digest.hexdigest() == "1f8d3dcc86f22aa7e1e43f42f05475416cbbf5043b1bed7085390595dae72831"
+
+    def test_exhaustive_size_pinned(self):
+        spaces = [GenConfig(n, k, letters, mode="exhaustive") for n, k, letters in _EXHAUSTIVE_SPACES]
+        sizes = [exhaustive_size(cfg) for cfg in spaces]
+        assert sizes == [2, 4, 8, 4, 8, 16, 16, 64, 256, 256, 1024, 4096]
+        assert [sum(1 for _ in generate(cfg)) for cfg in spaces] == sizes
+        assert exhaustive_size(GenConfig(3, 2, ("p", "q"), mode="exhaustive")) == 2**24
+        assert exhaustive_size(GenConfig(4, 2, ("p", "q", "r"), mode="exhaustive")) == 2**44
+
+    def test_generated_model_equals_checked_construction(self):
+        # A generated model is the one the validating constructor builds
+        # from its views: a stored zero letter mask would break == here,
+        # though format_model cannot show it.
+        for cfg, count in _pinned_streams():
+            for model in generate(cfg, count):
+                checked = Model(model.states, model.actions, model.transitions, model.valuation)
+                assert model == checked and hash(model) == hash(checked)
+                assert model.transitions == checked.transitions
+                assert model.valuation == checked.valuation
+                assert repr(model) == repr(checked)
+                assert model._letters == checked._letters and model._index == checked._index
+
+    def test_consecutive_exhaustive_models_keep_their_own_memo(self):
+        # Models that differ only in their valuation share edge rows, but
+        # verify_plan on one must leave the next one's memo empty.
+        cfg = GenConfig(max_states=2, max_actions=2, letters=("p", "q"), mode="exhaustive")
+        models = list(generate(cfg, 16 * 40))
+        used = 0
+        for model, following in zip(models, models[1:]):
+            assert following._images is not model._images
+            for action in model.actions:
+                verify_plan(model, model.states, model.states, (action, action))
+            used += any(model._images.values())
+            assert not any(following._images.values())
+        assert used
+
+
 class TestFindCountermodel:
     def test_bot_found_immediately(self):
         cfg = GenConfig(max_states=1, max_actions=1, letters=("p",), mode="exhaustive")
@@ -177,6 +271,32 @@ class TestFindCountermodel:
         assert found is not None
         model, state = found
         assert not holds(model, state, parse_formula("p"))
+
+    def test_hits_confirmed_by_pointwise_reference(self):
+        # Each hit, read back from its text form, is checked by the literal
+        # truth definition, which shares no code with the compiled program:
+        # the state is the first one falsifying the formula, in the first
+        # model of the stream that has one.
+        rng = random.Random(2718)
+        cfg = GenConfig(max_states=3, max_actions=2, letters=("p", "q", "r"), seed=2718)
+        formulas = [random_formula(rng, depth=4) for _ in range(40)]
+        formulas.append(parse_formula("Kh(p, q) & Kh(p, r) -> Kh(p, q & r)"))
+        falsified = []
+        for phi in formulas:
+            found = find_countermodel(phi, cfg, limit=300)
+            if found is None:
+                continue
+            model, state = found
+            reparsed = parse_model(format_model(model))
+            truth = ext_reference(reparsed, phi)
+            assert state not in truth
+            assert set(reparsed.states[: reparsed.index(state)]) <= truth
+            for earlier in generate(cfg, 300):
+                if earlier == model:
+                    break
+                assert ext_reference(earlier, phi) == frozenset(earlier.states)
+            falsified.append(phi)
+        assert len(falsified) >= 30 and falsified[-1] is formulas[-1]
 
     def test_deterministic(self):
         cfg = GenConfig(max_states=3, max_actions=2, letters=("p", "q"), seed=5)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import knowhow
 from knowhow import modelgen, models, planning, proofs, semantics, syntax
 
@@ -34,3 +36,11 @@ def test_star_import_binds_every_name():
     exec("from knowhow import *", namespace)
     for name in knowhow.__all__:
         assert namespace[name] is getattr(knowhow, name)
+
+
+def test_unchecked_constructor_only_in_models_and_modelgen():
+    # ``Model._of_masks`` skips every check, so no other module may build a
+    # model through it.
+    source = Path(knowhow.__file__).parent
+    users = sorted(path.name for path in source.glob("*.py") if "_of_masks" in path.read_text(encoding="utf-8"))
+    assert users == ["modelgen.py", "models.py"]

@@ -37,7 +37,7 @@ from knowhow import (
 
 import knowhow.semantics as semantics
 
-from helpers import plan_exists_bruteforce, random_formula
+from helpers import ext_reference, random_formula
 
 
 class TestExt:
@@ -164,27 +164,6 @@ class TestNormalizePreservesSemantics:
                 assert ext(model, phi) == ext(model, normalize(phi))
 
 
-def _ext_reference(model, phi):
-    """Independent evaluator: the literal truth definition, pointwise, with
-    plan existence decided by brute-force enumeration through verify_plan."""
-    from knowhow import And, Atom, Kh, Not, Top
-
-    phi = normalize(phi)
-    if isinstance(phi, Top):
-        return frozenset(model.states)
-    if isinstance(phi, Atom):
-        return frozenset(s for s in model.states if phi.name in model.valuation[s])
-    if isinstance(phi, Not):
-        return frozenset(model.states) - _ext_reference(model, phi.child)
-    if isinstance(phi, And):
-        return _ext_reference(model, phi.left) & _ext_reference(model, phi.right)
-    assert isinstance(phi, Kh)
-    cond = _ext_reference(model, phi.cond)
-    goal = _ext_reference(model, phi.goal)
-    works = plan_exists_bruteforce(model, cond, goal, 2 ** len(model.states))
-    return frozenset(model.states) if works else frozenset()
-
-
 NESTED_KH = [
     parse_formula(text)
     for text in (
@@ -204,7 +183,7 @@ class TestAgainstPointwiseReference:
         for model in generate(cfg, 60):
             for _ in range(2):
                 phi = random_formula(rng, ("p", "q"), depth=3)
-                assert ext(model, phi) == _ext_reference(model, phi)
+                assert ext(model, phi) == ext_reference(model, phi)
 
     def test_nested_kh_on_exhaustive_two_state_space(self):
         cfg = GenConfig(max_states=2, max_actions=2, letters=("p", "q"), mode="exhaustive")
@@ -212,7 +191,7 @@ class TestAgainstPointwiseReference:
         for model in generate(cfg):
             models += 1
             for phi in NESTED_KH:
-                assert ext(model, phi) == _ext_reference(model, phi), (format_model(model), phi)
+                assert ext(model, phi) == ext_reference(model, phi), (format_model(model), phi)
         assert models == exhaustive_size(cfg) == 4096
 
     def test_extensionally_equal_kh_nodes_cost_one_search(self, ex1, monkeypatch):
@@ -284,7 +263,7 @@ class TestProgramCache:
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == 4
-        assert results == [_ext_reference(model, phi)] * 4
+        assert results == [ext_reference(model, phi)] * 4
 
 
 class TestDeepNesting:
