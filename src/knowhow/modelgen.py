@@ -4,7 +4,8 @@ Random mode draws a deterministic stream from a seed: state count uniform
 in ``[1, max_states]``, every possible labelled edge present independently
 with probability 1/2, every letter true at every state with probability
 1/2 (draw order: state count, then edges by action/source/target, then
-valuation by state/letter).  Exhaustive mode enumerates every model with
+valuation by state/letter), with at most ``RANDOM_MAX_STATES`` (1,024)
+states.  Exhaustive mode enumerates every model with
 exactly ``max_states`` states and ``max_actions`` actions in a fixed
 canonical order (edge bitmask outer, valuation bitmask inner, low bits
 first), so sparse models come first; the closed-form count is
@@ -44,6 +45,7 @@ __all__ = [
 
 EXHAUSTIVE_MAX_STATES = 4
 EXHAUSTIVE_MAX_ACTIONS = 2
+RANDOM_MAX_STATES = 1024  # one 26-action model of this size draws in about 4 s
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,8 @@ class GenConfig:
                 "exhaustive bounds exceeded: need max_states <= "
                 f"{EXHAUSTIVE_MAX_STATES} and max_actions <= {EXHAUSTIVE_MAX_ACTIONS}"
             )
+        if self.mode == "random" and self.max_states > RANDOM_MAX_STATES:
+            raise ValueError(f"random bounds exceeded: need max_states <= {RANDOM_MAX_STATES}")
         for i, letter in enumerate(self.letters):
             if not (isinstance(letter, str) and _ATOM_NAME.match(letter)):
                 raise ValueError(f"bad proposition letter {letter!r}")
@@ -247,9 +251,8 @@ def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
     not full, a ``U`` pair on the slices where exactly one of its two
     programs is full.  The memo and the wide ints (one per op, each
     ``len(cfg.letters)**k * w`` bits) are freed with the model.  The rows
-    are built once while the schemas and routes stay the same, and a
-    program is cached on its normal form, so a repeat audit builds and
-    compiles no formula."""
+    are built once while the schemas and routes stay the same, so a repeat
+    audit builds and compiles no formula."""
     if not cfg.letters:
         raise ValueError("the audit needs at least one proposition letter")
     rows = _audit_rows(tuple(AXIOM_SCHEMAS.items()), _ROUTES)

@@ -59,10 +59,9 @@ from .syntax import (
     Implies,
     Kh,
     Not,
-    Top,
     U,
     _ATOM_NAME,
-    _HEIGHT,
+    _subterms,
     atom_names,
     normalize,
     parse_formula,
@@ -243,27 +242,13 @@ def is_tautology(phi: Formula) -> bool:
     Boolean node is evaluated once per block, children first.
     """
     core = normalize(phi)
-    units: list[Formula] = []
-    connectives: list[Formula] = []  # the Top, Not and And nodes above the units
-    seen: set[Formula] = set()
-    stack = [core]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if isinstance(node, (Atom, Kh)):
-            units.append(node)
-        elif isinstance(node, (Top, Not, And)):
-            connectives.append(node)
-            stack += node.kids
-        else:
-            raise TypeError(f"not a core formula: {node!r}")
+    nodes = _subterms(core, (Kh,))
+    units = [node for node in nodes if type(node) in (Atom, Kh)]
+    connectives = [node for node in nodes if type(node) not in (Atom, Kh)]  # Top, Not, And
     if len(units) > TAUTOLOGY_LETTER_BUDGET:
         raise TautologyBudgetError(
             f"{len(units)} abstraction units exceed the budget of {TAUTOLOGY_LETTER_BUDGET}"
         )
-    connectives.sort(key=_HEIGHT)
     inner = min(len(units), _BLOCK_UNITS)
     full = (1 << (1 << inner)) - 1  # every row of a block
     # Unit j < inner is true in row r iff bit j of r is set, so its column
@@ -343,7 +328,8 @@ def check_proof_under(proof: Proof, hypotheses: Sequence[Formula] = ()) -> Proof
 
     Hypotheses are treated as given theorems (necessitation and
     substitution may be applied to their consequences), which is the
-    reading needed to replay rule-admissibility derivations.
+    reading needed to replay rule-admissibility derivations.  A ``taut``
+    line over the unit budget raises :class:`TautologyBudgetError` naming it.
     """
     hyps = tuple(hypotheses)
     if not proof.lines:
@@ -354,7 +340,10 @@ def check_proof_under(proof: Proof, hypotheses: Sequence[Formula] = ()) -> Proof
             return ProofVerdict(
                 False, position, f"line numbered {line.index}, expected {position}"
             )
-        reason = _check_line(line, earlier, hyps)
+        try:
+            reason = _check_line(line, earlier, hyps)
+        except TautologyBudgetError as exc:
+            raise TautologyBudgetError(f"line {line.index}: {exc}") from exc
         if reason is not None:
             return ProofVerdict(False, line.index, reason)
         earlier.append(line.formula)

@@ -3,13 +3,11 @@
 Truth is computed as *extensions* (sets of states) bottom-up rather than
 pointwise.  A set of states is an ``int`` mask, bit *i* for the *i*-th
 declared state, as in the planner.  A formula is normalized to the core
-connectives and compiled into a program that lists each distinct node
-once, after its operands.  The program is cached on the interned normal
-form, so a formula is compiled once per process while it, or any formula
-with the same normal form, lives.  Like every formula operation, compiling
-and running the program walk explicit stacks and loops, never recursion,
-so formulas nested to the 10,000-level limit evaluate on the caller's
-thread.
+connectives and compiled, each time it is evaluated, into a program that
+lists each distinct node once, after its operands.  Like every formula
+operation, compiling and running the program walk explicit stacks and
+loops, never recursion, so formulas nested to the 10,000-level limit
+evaluate on the caller's thread.
 
 A program runs on one slice or many.  The value of a node is a wide
 ``int`` that concatenates one slice per evaluation, low slice first.  With
@@ -29,8 +27,7 @@ slices and looks each pair ``(cond mask, goal mask)`` up in a
 one plan search however many Kh nodes and slices share it.  The dict
 belongs to one model and one caller, never to the module: decisions are
 never cached across calls, so concurrent evaluations over the same
-immutable model are safe.  Writing a program to its cache is race-benign:
-threads that miss compute equal programs, and either write wins.
+immutable model are safe.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from typing import Mapping, Sequence
 
 from .models import Model
 from .planning import _search
-from .syntax import And, Atom, Formula, Kh, Not, Top, _subterms, normalize
+from .syntax import And, Atom, Formula, Kh, Not, _subterms, normalize
 
 __all__ = ["ext", "holds", "check_U"]
 
@@ -53,15 +50,10 @@ Program = tuple[tuple, ...]
 
 def _compile(phi: Formula) -> Program:
     """The program of ``normalize(phi)``: every distinct node once (equal
-    nodes are one object), each after its operands, so the last op is the root.
-    It is cached on the normal form, as ``normalize`` caches that form, and
-    holds only ints, atom names and ``None``, never a node, so it makes no
-    reference cycle and dies with the node."""
-    normal = normalize(phi)
-    program = normal.__dict__.get("_program")
-    if program is not None:
-        return program
-    order = _subterms(normal)
+    nodes are one object), each after its operands, so the last op is the
+    root.  It holds only ints, atom names and ``None``, never a node, so a
+    caller may keep it without keeping the formula alive."""
+    order = _subterms(normalize(phi))
     slot = {node: i for i, node in enumerate(order)}
     ops: list[tuple] = []
     for node in order:
@@ -74,12 +66,9 @@ def _compile(phi: Formula) -> Program:
             ops.append((_ATOM, node.name, None))
         elif kind is Kh:
             ops.append((_KH, slot[node.cond], slot[node.goal]))
-        elif kind is Top:
+        else:  # Top
             ops.append((_TOP, None, None))
-        else:
-            raise TypeError(f"not a core formula: {node!r}")
-    program = normal.__dict__["_program"] = tuple(ops)
-    return program
+    return tuple(ops)
 
 
 def _run(

@@ -34,9 +34,13 @@ hard error.
 Formula nodes are immutable and interned through one process-wide weak
 table, whose miss path publishes under a lock (see :class:`Formula`), so
 structurally equal formulas are one object and ``==`` is ``is``.  Each node
-caches its normal form, and a normal form its compiled program.  Apart from
-the table and those caches, which never change a result, all functions are
-pure.
+caches its normal form.  Apart from the table and that cache, which never
+change a result, all functions are pure.
+
+A formula argument that is not a :class:`Formula` raises ``TypeError("not
+a formula: ...")`` at :func:`normalize` or ``_subterms``, the two doors of
+evaluation, tautology checks, atom_names and substitution, or in
+:func:`print_formula`.
 """
 
 from __future__ import annotations
@@ -97,9 +101,7 @@ class Formula:
 
     Each node caches its children (``kids``, left to right), its ``height``
     (a leaf has height 1) and, once :func:`normalize` has seen it, its
-    normal form.  A normal form that has been evaluated also caches its
-    compiled program (``_program``, see ``semantics._compile``), which
-    holds no node, so it lives and dies with the node.
+    normal form.
     """
 
     def __new__(cls, *args: object) -> Formula:
@@ -241,18 +243,22 @@ def formula_height(phi: Formula) -> int:
 _HEIGHT = attrgetter("height")
 
 
-def _subterms(phi: Formula) -> list[Formula]:
+def _subterms(phi: Formula, leaves: tuple[type, ...] = ()) -> list[Formula]:
     """The distinct subterms of ``phi`` (equal nodes are one object), each
-    after its children, so ``phi`` comes last.  A node is higher than each
-    of its children, so ordering the nodes by their cached height puts
-    children first."""
+    after its children, so ``phi`` comes last.  The children of a node whose
+    type is in ``leaves`` are not visited, unless another path reaches
+    them.  A node is higher than each of its children, so ordering the
+    nodes by their cached height puts children first."""
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
     seen: dict[Formula, None] = {}  # insertion-ordered, for a deterministic order
     stack = [phi]
     while stack:
         node = stack.pop()
         if node not in seen:
             seen[node] = None
-            stack += node.kids
+            if type(node) not in leaves:
+                stack += node.kids
     return sorted(seen, key=_HEIGHT)
 
 
@@ -528,6 +534,8 @@ def normalize(phi: Formula) -> Formula:
     mention their operands twice, the result shares them, so it has size
     linear in the input.
     """
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
     if phi._normal is None:
         # The subterms with no normal form yet, rewritten children first.
         pending: dict[Formula, None] = {}
@@ -553,11 +561,9 @@ def normalize(phi: Formula) -> Formula:
                 result = And(Not(And(kids[0], Not(kids[1]))), Not(And(kids[1], Not(kids[0]))))
             elif isinstance(node, U):
                 result = Kh(Not(kids[0]), Not(Top()))
-            elif isinstance(node, KhPlus):  # Kh(a, b) & ~U(a -> b)
+            else:  # KhPlus: Kh(a, b) & ~U(a -> b)
                 implies = Not(And(kids[0], Not(kids[1])))
                 result = And(Kh(*kids), Not(Kh(Not(implies), Not(Top()))))
-            else:
-                raise TypeError(f"not a formula: {node!r}")
             # A node never holds itself, which would be a reference cycle
             # that keeps dead formulas alive until the garbage collector
             # runs.  Threads that race here compute the same interned
@@ -574,8 +580,6 @@ def normalize(phi: Formula) -> Formula:
 
 def substitute_all(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Simultaneously replace every atom named in ``mapping``."""
-    if not mapping:
-        return phi
     for letter, replacement in mapping.items():
         if not isinstance(replacement, Formula):
             raise TypeError(f"replacement for {letter!r} is not a formula: {replacement!r}")

@@ -248,6 +248,9 @@ class TestProve:
             ("2. U p -> p ; axiom TU p=p q=q", 1, "REJECTED line 2: axiom TU does not use letter 'q'\n", ""),
             ("2. U(p -> q) -> Kh(p, q) ; axiom EMP p=p x1=q", 1,
              "REJECTED line 2: binding for axiom EMP is missing letter 'q'\n", ""),
+            # A taut line over too many units names its line.
+            ("2. " + " | ".join(f"Kh(x{i}, x{i})" for i in range(21)) + " ; taut", 2, "",
+             "error: line 2: 21 abstraction units exceed the budget of 20\n"),
         ],
     )
     def test_proof_file_rules(self, tmp_path, line, code, out, err):
@@ -422,6 +425,14 @@ class TestDiagnostics:
             (
                 ["audit", "--models", "1", "--letters", "p,p"],
                 "error: duplicate proposition letter 'p'\n",
+            ),
+            (
+                ["countermodel", "p", "--max-states", "99999999", "--max-actions", "1", "--models", "1"],
+                "error: random bounds exceeded: need max_states <= 1024\n",
+            ),
+            (
+                ["audit", "--models", "1", "--max-states", "1025"],
+                "error: random bounds exceeded: need max_states <= 1024\n",
             ),
         ]:
             code, out, err = run_cli(*argv)

@@ -49,6 +49,11 @@ class TestGenConfig:
             GenConfig(max_states=1, max_actions=0)
         with pytest.raises(ValueError, match="mode"):
             GenConfig(max_states=1, max_actions=1, mode="weird")
+        with pytest.raises(ValueError, match="^at most 26 actions are supported$"):
+            GenConfig(max_states=1, max_actions=27)
+        with pytest.raises(ValueError, match="^random bounds exceeded: need max_states <= 1024$"):
+            GenConfig(max_states=1025, max_actions=1)
+        assert GenConfig(max_states=1024, max_actions=26).max_states == 1024
         with pytest.raises(ValueError, match="exhaustive bounds"):
             GenConfig(max_states=5, max_actions=2, mode="exhaustive")
         with pytest.raises(ValueError, match="exhaustive bounds"):

@@ -383,6 +383,7 @@ class TestFormat:
     def test_round_trip(self, ex1, ex2_left, ex2_right):
         for model in (ex1, ex2_left, ex2_right):
             assert parse_model(format_model(model)) == model
+            assert model != format_model(model) and model.__eq__(None) is NotImplemented
 
     def test_round_trip_generated(self):
         cfg = GenConfig(max_states=5, max_actions=3, letters=("p", "q"), seed=5)

@@ -27,6 +27,7 @@ class TestVerifyPlan:
         check = verify_plan(ex1, ex1.labelled("p"), ex1.labelled("q"), ("r", "u"))
         assert check.ok
         assert bool(check)
+        assert check.describe() == "ok"
 
     def test_ex1_rr_fails_at_endpoint(self, ex1):
         check = verify_plan(ex1, ex1.labelled("p"), ex1.labelled("q"), ("r", "r"))

@@ -66,8 +66,11 @@ class TestIsTautology:
         wide_20 = " | ".join(f"Kh(x{i}, x{i})" for i in range(20))
         assert not is_tautology(parse_formula(wide_20))
         wide_21 = " | ".join(f"Kh(x{i}, x{i})" for i in range(21))
-        with pytest.raises(TautologyBudgetError):
+        with pytest.raises(TautologyBudgetError, match="^21 abstraction units exceed the budget of 20$"):
             is_tautology(parse_formula(wide_21))
+        proof = _lines((parse_formula("p -> p"), Taut()), (parse_formula(wide_21), Taut()))
+        with pytest.raises(TautologyBudgetError, match="^line 2: 21 abstraction units exceed the budget of 20$"):
+            check_proof(proof)
 
     def test_twenty_units_decided_quickly(self):
         conj = " & ".join(f"a{i}" for i in range(20))
@@ -197,6 +200,10 @@ class TestCheckProof:
         verdict = check_proof(proof)
         assert not verdict.accepted
         assert "out of range" in verdict.reason
+
+    def test_unknown_justification(self):
+        verdict = check_proof(_lines((parse_formula("p"), "zap")))
+        assert (verdict.accepted, verdict.line, verdict.reason) == (False, 1, "unknown justification 'zap'")
 
     def test_unknown_axiom(self):
         proof = _lines((parse_formula("p"), AxiomInst("BOGUS", {})),)

@@ -19,18 +19,23 @@ from knowhow import (
     Atom,
     Bot,
     FormulaSyntaxError,
+    GenConfig,
     Iff,
     Implies,
     Kh,
     KhPlus,
+    Model,
     Not,
     Or,
     Top,
     U,
     atom_names,
+    check_U,
     check_proof,
     ext,
+    find_countermodel,
     formula_height,
+    holds,
     is_tautology,
     normalize,
     parse_formula,
@@ -368,6 +373,7 @@ class TestSubstitute:
     def test_identity_substitution(self, phi):
         for name in atom_names(phi):
             assert substitute(phi, name, Atom(name)) == phi
+        assert substitute_all(phi, {}) is phi
 
     @given(formulas, st.sampled_from(["p", "q", "r"]), formulas)
     @settings(max_examples=200)
@@ -526,6 +532,8 @@ class TestInterning:
             Not([1])
         with pytest.raises(ValueError, match="invalid atom name 1"):
             Atom(1)
+        with pytest.raises(TypeError, match="And takes 2 arguments, got 1"):
+            And(Atom("p"))
         assert len(syntax._TABLE) == baseline
         assert Not(p).child is p
 
@@ -587,6 +595,34 @@ class TestInterning:
                 assert len(syntax._TABLE) == baseline
         finally:
             gc.enable()
+
+
+_ONE_STATE = Model(("s",), (), {}, {"s": ("p",)})
+
+# Every public function that takes a formula, with its other arguments filled in.
+_FORMULA_CALLS = {
+    "normalize": normalize,
+    "ext": lambda x: ext(_ONE_STATE, x),
+    "holds": lambda x: holds(_ONE_STATE, "s", x),
+    "check_U": lambda x: check_U(_ONE_STATE, x),
+    "is_tautology": is_tautology,
+    "atom_names": atom_names,
+    "substitute": lambda x: substitute(x, "p", q),
+    "substitute_all": lambda x: substitute_all(x, {"p": q}),
+    "substitute_all_empty": lambda x: substitute_all(x, {}),
+    "print_formula": print_formula,
+    "find_countermodel": lambda x: find_countermodel(x, GenConfig(1, 1), 1),
+}
+
+
+@pytest.mark.parametrize("name", _FORMULA_CALLS)
+@pytest.mark.parametrize("value", ["p", None, 3])
+def test_non_formula_argument(name, value):
+    # One rule, stated at normalize and at the subterm walk (and in the
+    # printer): whatever is not a Formula is named in a TypeError.
+    with pytest.raises(TypeError) as caught:
+        _FORMULA_CALLS[name](value)
+    assert str(caught.value) == f"not a formula: {value!r}"
 
 
 def test_formula_height():
