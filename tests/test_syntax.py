@@ -599,7 +599,7 @@ class TestInterning:
 
 _ONE_STATE = Model(("s",), (), {}, {"s": ("p",)})
 
-# Every public function that takes a formula, with its other arguments filled in.
+# The public functions that take a formula, with their other arguments filled in.
 _FORMULA_CALLS = {
     "normalize": normalize,
     "ext": lambda x: ext(_ONE_STATE, x),
