@@ -45,7 +45,7 @@ __all__ = [
 
 EXHAUSTIVE_MAX_STATES = 4
 EXHAUSTIVE_MAX_ACTIONS = 2
-RANDOM_MAX_STATES = 1024  # one 26-action model of this size draws in about 4 s
+RANDOM_MAX_STATES = 1024  # a 26-action model this size takes about 4 s to draw on a 2-vCPU Xeon
 
 
 @dataclass(frozen=True)
