@@ -241,9 +241,9 @@ def _declared(name: object, index: Mapping[str, object]) -> bool:
 
 
 def _positions(names: tuple, what: str) -> dict:
-    """Each name's position in ``names``, which must be hashable and
-    distinct; else ``ValueError`` names the first unhashable one, or the
-    first repeat."""
+    """Each name's position in ``names``, which must be hashable, comparable
+    and distinct; else ``ValueError`` names the first unhashable one, two
+    that do not compare, or the first repeat."""
     try:
         positions = {name: i for i, name in enumerate(names)}
     except TypeError:
@@ -252,7 +252,14 @@ def _positions(names: tuple, what: str) -> dict:
                 hash(name)
             except TypeError:
                 raise ValueError(f"unhashable {what} {name!r}") from None
-        raise
+        # Every name hashes, so comparing two with one hash raised.
+        for i, name in enumerate(names):
+            for other in names[:i]:
+                try:
+                    hash(other) == hash(name) and other == name
+                except TypeError:
+                    raise ValueError(f"{what}s {other!r} and {name!r} do not compare") from None
+        raise ValueError(f"{what}s that do not compare among {names!r}") from None
     if len(positions) < len(names):
         raise ValueError(f"duplicate {what} {next(n for i, n in enumerate(names) if n in names[:i])!r}")
     return positions

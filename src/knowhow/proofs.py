@@ -22,8 +22,8 @@ axiom instances, modus ponens and necessitation, so lines spelled with
 hypothesis citations are checked structurally, since substitution is a
 purely syntactic rule.  Formulas are interned, so both checks compare
 identities: structural equality is ``is``, and equality up to
-normalization is ``normalize(a) is normalize(b)``, O(1) once each side's
-normal form is cached.
+normalization is ``normalize(a) is normalize(b)``, O(1) since every node
+is built with its normal form.
 
 Proof file format (UTF-8; ``#`` starts a comment)::
 
@@ -559,7 +559,10 @@ def _parse_binding(text: str, line_no: int) -> dict[str, Formula]:
 def _parse_int(token: str, line_no: int) -> int:
     if not _REFERENCE.match(token):
         raise ProofFormatError(f"expected a line number, got {token!r}", line_no)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than the interpreter converts
+        raise ProofFormatError(f"line number of {len(token)} digits is too long", line_no) from None
 
 
 def _parse_justification(text: str, line_no: int) -> Justification:
@@ -622,7 +625,7 @@ def parse_proof(text: str) -> ProofDocument:
         numbered = _NUMBERED.match(stripped)
         if not numbered:
             raise ProofFormatError("want: <n>. <formula> ; <justification>", line_no)
-        index = int(numbered.group(1))
+        index = _parse_int(numbered.group(1), line_no)
         body = numbered.group(2)
         if ";" not in body:
             raise ProofFormatError("missing ';' between formula and justification", line_no)

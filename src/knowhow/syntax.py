@@ -34,13 +34,13 @@ hard error.
 Formula nodes are immutable and interned through one process-wide weak
 table, whose miss path publishes under a lock (see :class:`Formula`), so
 structurally equal formulas are one object and ``==`` is ``is``.  Each node
-caches its normal form.  Apart from the table and that cache, which never
-change a result, all functions are pure.
+is built with its normal form and never written after it is published.
+Apart from the table, which never changes a result, all functions are pure.
 
 A formula argument that is not a :class:`Formula` raises ``TypeError("not
 a formula: ...")`` at :func:`normalize` or ``_subterms``, the two doors of
 evaluation, tautology checks, atom_names and substitution, or in
-:func:`print_formula`.
+:func:`print_formula` and :func:`formula_height`.
 """
 
 from __future__ import annotations
@@ -99,9 +99,11 @@ class Formula:
     in which case that node is returned; so two threads building the same
     formula get the same object.
 
-    Each node caches its children (``kids``, left to right), its ``height``
-    (a leaf has height 1) and, once :func:`normalize` has seen it, its
-    normal form.
+    A miss also gives the node its children (``kids``, left to right), its
+    ``height`` (a leaf has height 1) and its normal form (``_normal``, or
+    None for a node that is its own, so that no node holds itself), the
+    last two from its children's.  All of this is set before the node is
+    published, and a published node is never written again.
     """
 
     def __new__(cls, *args: object) -> Formula:
@@ -161,7 +163,16 @@ def _intern(cls: type, args: tuple) -> Formula:
     except AttributeError:
         bad = next(k for k in kids if not isinstance(k, Formula))
         raise TypeError(f"{cls.__name__} operand is not a formula: {bad!r}") from None
-    cache["_normal"] = None  # see normalize
+    # The normal form, from the children's: a derived type's expansion, a
+    # core node rebuilt if some child (of at most two) is not normal, or None.
+    expand = _EXPANSIONS.get(cls)
+    if expand is not None:
+        normal = expand(*[k._normal or k for k in kids])
+    elif kids and (kids[0]._normal or kids[-1]._normal):
+        normal = cls(*[k._normal or k for k in kids])
+    else:
+        normal = None
+    cache["_normal"] = normal
     key = (cls, *args)
     entry = _Entry(node, _forget)
     entry.key = key
@@ -237,6 +248,8 @@ class KhPlus(Formula):
 
 def formula_height(phi: Formula) -> int:
     """Height of the AST (a leaf has height 1)."""
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
     return phi.height
 
 
@@ -519,7 +532,17 @@ def print_formula(phi: Formula) -> str:
 # --- Normalization --------------------------------------------------------
 
 
-_UNCHANGED = object()  # cached on a node that is its own normal form
+# Each derived type's expansion into the core, applied by _intern to the
+# normal forms of a new node's children.  Every node an expansion builds has
+# normal children, so it is its own normal form.
+_EXPANSIONS = {
+    Bot: lambda: Not(Top()),
+    Or: lambda a, b: Not(And(Not(a), Not(b))),
+    Implies: lambda a, b: Not(And(a, Not(b))),
+    Iff: lambda a, b: And(Not(And(a, Not(b))), Not(And(b, Not(a)))),  # (a -> b) & (b -> a)
+    U: lambda a: Kh(Not(a), Not(Top())),
+    KhPlus: lambda a, b: And(Kh(a, b), Not(Kh(Not(Not(And(a, Not(b)))), Not(Top())))),  # Kh(a, b) & ~U(a -> b)
+}
 
 
 def normalize(phi: Formula) -> Formula:
@@ -528,51 +551,14 @@ def normalize(phi: Formula) -> Formula:
     ``bot``, ``|``, ``->`` and ``<->`` expand classically; ``U a`` becomes
     ``Kh(~a, ~top)`` and ``Khp(a, b)`` becomes ``Kh(a, b) & ~U(a -> b)``
     (then expanded recursively).  Idempotent, and ``normalize(c) is c`` for
-    a core formula ``c``.  The normal form is cached on the node (a normal
-    form is marked as its own), so each interned subterm is normalized once
-    per process and a repeated call is O(1).  Although ``<->`` and ``Khp``
+    a core formula ``c``.  Every node is built with its normal form (see
+    :class:`Formula`), so this is one read.  Although ``<->`` and ``Khp``
     mention their operands twice, the result shares them, so it has size
     linear in the input.
     """
     if not isinstance(phi, Formula):
         raise TypeError(f"not a formula: {phi!r}")
-    if phi._normal is None:
-        # The subterms with no normal form yet, rewritten children first.
-        pending: dict[Formula, None] = {}
-        stack = [phi]
-        while stack:
-            node = stack.pop()
-            if node._normal is None and node not in pending:
-                pending[node] = None
-                stack += node.kids
-        for node in sorted(pending, key=_HEIGHT):
-            kids = [k if k._normal is _UNCHANGED else k._normal for k in node.kids]
-            if isinstance(node, (Top, Atom)):
-                result = node
-            elif isinstance(node, Bot):
-                result = Not(Top())
-            elif isinstance(node, (Not, And, Kh)):
-                result = type(node)(*kids)
-            elif isinstance(node, Or):
-                result = Not(And(Not(kids[0]), Not(kids[1])))
-            elif isinstance(node, Implies):
-                result = Not(And(kids[0], Not(kids[1])))
-            elif isinstance(node, Iff):  # (a -> b) & (b -> a)
-                result = And(Not(And(kids[0], Not(kids[1]))), Not(And(kids[1], Not(kids[0]))))
-            elif isinstance(node, U):
-                result = Kh(Not(kids[0]), Not(Top()))
-            else:  # KhPlus: Kh(a, b) & ~U(a -> b)
-                implies = Not(And(kids[0], Not(kids[1])))
-                result = And(Kh(*kids), Not(Kh(Not(implies), Not(Top()))))
-            # A node never holds itself, which would be a reference cycle
-            # that keeps dead formulas alive until the garbage collector
-            # runs.  Threads that race here compute the same interned
-            # result, so either write wins.
-            result.__dict__["_normal"] = _UNCHANGED
-            if result is not node:
-                node.__dict__["_normal"] = result
-    normal = phi._normal
-    return phi if normal is _UNCHANGED else normal
+    return phi._normal or phi
 
 
 # --- Substitution ---------------------------------------------------------

@@ -116,6 +116,32 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             Model(("s",), ("a", "a"), {}, {})
 
+    def test_names_that_do_not_compare(self):
+        # Two names with one hash whose == raises are named, and so is the
+        # whole tuple if the comparison raised only once.
+        class N:
+            def __init__(self, label, raises=1_000):
+                self.label, self.raises = label, raises
+
+            def __hash__(self):
+                return 0
+
+            def __eq__(self, other):
+                self.raises -= 1
+                if self.raises < 0:
+                    return self is other
+                raise TypeError("no compare")
+
+            def __repr__(self):
+                return self.label
+
+        with pytest.raises(ValueError, match=r"\Astate ids x and y do not compare\Z"):
+            Model((N("x"), N("y")), (), {}, {})
+        with pytest.raises(ValueError, match=r"\Aaction names a and b do not compare\Z"):
+            Model(("s",), ("c", N("a"), N("b")), {}, {})
+        with pytest.raises(ValueError, match=r"\Astate ids that do not compare among \(x, y\)\Z"):
+            Model((N("x", raises=1), N("y", raises=1)), (), {}, {})
+
     def test_undeclared_endpoints(self):
         with pytest.raises(ValueError):
             Model(("s",), ("a",), {"a": {("s", "t")}}, {})

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 from itertools import permutations
 
@@ -346,6 +347,30 @@ class TestParseProof:
             parse_proof("hypothesisx p\n")
         document = parse_proof("hypothesis p & q\n1. p & q ; hyp 1\n")
         assert document.hypotheses == (parse_formula("p & q"),)
+
+    def test_line_numbers_past_the_digit_limit(self, tmp_path):
+        # A label or reference with more digits than int() converts names
+        # its file line and does not echo the digits.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integers of any length")
+        huge = "1" * (limit + 1)
+        cases = [
+            f"{huge}. p -> p ; taut\n",
+            f"1. p -> p ; taut\n2. p ; mp {huge} 1\n",
+            f"1. p -> p ; taut\n2. p ; mp 1 {huge}\n",
+            f"1. p -> p ; taut\n2. U(p -> p) ; necu {huge}\n",
+            f"1. p -> p ; taut\n2. q -> q ; sub {huge} p q\n",
+            f"hypothesis p\n1. p ; hyp {huge}\n",
+        ]
+        for text in cases:
+            with pytest.raises(ProofFormatError) as exc:
+                parse_proof(text)
+            assert exc.value.line == text.count("\n")
+            assert str(exc.value).endswith(f"line number of {limit + 1} digits is too long")
+        proof = tmp_path / "huge.prf"
+        proof.write_text(cases[0])
+        assert run_cli("prove", str(proof)) == (2, "", f"error: line 1: line number of {limit + 1} digits is too long\n")
 
 
 def _instance(lines, sigma):

@@ -27,6 +27,7 @@ from knowhow import (
     Model,
     Not,
     Or,
+    TautologyBudgetError,
     Top,
     U,
     atom_names,
@@ -45,6 +46,7 @@ from knowhow import (
     substitute_all,
 )
 
+import knowhow.semantics as semantics
 import knowhow.syntax as syntax
 from helpers import random_formula
 
@@ -340,6 +342,17 @@ class TestNormalize:
         once = normalize(phi)
         assert normalize(once) is once
 
+    def test_golden_digest(self):
+        """One sha256 over the printed normal forms of seeded random
+        formulas, computed while normalize still rewrote a formula by its
+        own walk and cached the result on each node afterwards."""
+        digest = hashlib.sha256()
+        rng = random.Random(2006)
+        for _ in range(2000):
+            phi = random_formula(rng, ("p", "q", "r", "s"), depth=7)
+            digest.update(print_formula(normalize(phi)).encode() + b"\n")
+        assert digest.hexdigest() == "7ccc7a69c546e48ec8e4bba814c88de274e8b0c6f25e11c731db300424c22850"
+
     def test_core_input_is_returned_as_is(self):
         # Equal but distinct atoms and subterms must not make normalize rebuild.
         c = Kh(And(Atom("p"), Not(Atom("p"))), And(Not(Atom("p")), Top()))
@@ -569,6 +582,67 @@ class TestInterning:
             assert all(phi is first for phi in formulas_in_each_thread)
             assert parse_formula(print_formula(first)) is first
 
+    def test_threads_building_one_derived_formula_get_one_normal_form(self):
+        # Each round, every thread builds the same fresh derived formula,
+        # whose node and normal form are both misses, at the same time.
+        threads_n, rounds = 4, 200
+        barrier = threading.Barrier(threads_n)
+        built: list[list] = [[] for _ in range(threads_n)]
+        errors = []
+
+        def work(out):
+            try:
+                for i in range(rounds):
+                    a, b = Atom(f"fresh_a{i}"), Atom(f"fresh_b{i}")
+                    barrier.wait(timeout=60)
+                    phi = KhPlus(Iff(a, U(b)), Or(Bot(), Implies(b, a)))
+                    out.append((phi, normalize(phi)))
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(out,)) for out in built]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for pairs in zip(*built):
+            phi, core = pairs[0]
+            assert all(pair[0] is phi and pair[1] is core for pair in pairs)
+            assert core is not phi and normalize(core) is core
+            assert print_formula(core) == print_formula(normalize(parse_formula(print_formula(phi))))
+
+    def test_published_nodes_are_never_written(self):
+        # Every live node's attributes are the same objects after every
+        # operation on formulas has run.  The second round also covers the
+        # nodes that the first one built: its substitution instances.
+        rng = random.Random(31)
+        inputs = [random_formula(rng, ("p", "q", "r"), depth=5) for _ in range(200)]
+        inputs += [parse_formula("Khp(p | bot, q <-> r) -> U ~p"), Bot()]
+        for _ in range(2):
+            live = [entry() for entry in list(syntax._TABLE.values())]
+            before = {node: dict(node.__dict__) for node in live if node is not None}
+            for phi in list(inputs):
+                normalize(phi)
+                ext(_ONE_STATE, phi)
+                try:
+                    is_tautology(phi)
+                except TautologyBudgetError:
+                    pass
+                inputs.append(substitute_all(phi, {"p": q, "q": Bot()}))
+                atom_names(phi)
+                print_formula(phi)
+                semantics._compile(phi)
+            for node, attributes in before.items():
+                assert node.__dict__.keys() == attributes.keys()
+                assert all(node.__dict__[k] is v for k, v in attributes.items()), node
+
     def test_unpickled_formula_is_the_same_object(self):
         rng = random.Random(3)
         for _ in range(100):
@@ -611,6 +685,7 @@ _FORMULA_CALLS = {
     "substitute_all": lambda x: substitute_all(x, {"p": q}),
     "substitute_all_empty": lambda x: substitute_all(x, {}),
     "print_formula": print_formula,
+    "formula_height": formula_height,
     "find_countermodel": lambda x: find_countermodel(x, GenConfig(1, 1), 1),
 }
 
