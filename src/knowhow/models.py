@@ -5,11 +5,17 @@ transition relation per action and a valuation assigning proposition
 letters to states.  Models are immutable after construction; all queries
 are pure, so concurrent reads are safe.  A state or action name that the
 model does not declare, an unhashable one included, raises ``ValueError``.
-The one thing a model writes after construction is a memo of action images
-that only :func:`~knowhow.planning.verify_plan` fills and reads: it never
-changes a result, its writes are idempotent (two threads that miss store
-the same image), it holds at most ``|A| * 2^|S|`` entries and no more than
-the steps already walked, and it is freed with the model.
+A model writes two things after construction, and neither changes a
+result:
+
+* a memo of action images that only :func:`~knowhow.planning.verify_plan`
+  fills and reads.  Its writes are idempotent (two threads that miss store
+  the same image), it holds at most ``|A| * 2^|S|`` entries and no more
+  than the steps already walked, and it is freed with the model;
+* the columns of :func:`~knowhow.planning.find_plan`, written once, by the
+  first search that expands a belief: ``|S|`` ints of ``|A| * |S|`` bits
+  each.  Every writer builds equal columns, so two threads that race
+  publish the same data.  ``verify_plan`` never reads them.
 
 File format (UTF-8, one declaration per line)::
 
@@ -59,14 +65,18 @@ class Model:
     labelled with it.  ``transitions`` and ``valuation`` are views of the
     masks, in the shape the constructor takes.  ``_images`` is
     ``verify_plan``'s memo: per action, a dict from a mask to its image,
-    or to ``-1`` when some member of the mask has no successor.  ``_mask``
-    resolves every state name a caller passes, ``_unknown_action`` names
-    the first unknown action of a plan; an unhashable name is never known.
+    or to ``-1`` when some member of the mask has no successor.
+    ``_columns`` is ``find_plan``'s, ``None`` until its first search that
+    expands a belief: each state's successor masks under all actions side
+    by side in one int, and per action its name, ``~can`` and bit offset
+    (see ``planning._build_columns``).  ``_mask`` resolves every state
+    name a caller passes, ``_unknown_action`` names the first unknown
+    action of a plan; an unhashable name is never known.
     ``__init__`` is the one validating path; ``_of_masks``, called only by
     :mod:`~knowhow.modelgen`, takes the masks as stored and checks nothing.
     """
 
-    __slots__ = ("states", "actions", "_index", "_moves", "_letters", "_images")
+    __slots__ = ("states", "actions", "_index", "_moves", "_letters", "_images", "_columns")
 
     def __init__(
         self,
@@ -118,7 +128,8 @@ class Model:
         return object.__new__(cls)._store(states, actions, index, rows, letters)
 
     def _store(self, states: tuple, actions: tuple, index: dict, rows: Sequence, letters: dict) -> Model:
-        """The one storing step: set the slots, with a fresh ``_images`` memo."""
+        """The one storing step: set the slots, with a fresh ``_images`` memo
+        and no ``_columns``."""
         moves: dict[str, tuple[int, tuple[int, ...]]] = {}
         for a, succ in zip(actions, rows):
             can = 0
@@ -132,6 +143,7 @@ class Model:
         object.__setattr__(self, "_moves", moves)
         object.__setattr__(self, "_letters", letters)
         object.__setattr__(self, "_images", {a: {} for a in actions})
+        object.__setattr__(self, "_columns", None)
         return self
 
     @property

@@ -33,11 +33,22 @@ terminates; BFS returns a shortest witness, and expanding actions in
 declaration order makes it the lexicographically least shortest one (in
 action-index order).
 
+find_plan walks a belief's members once for all actions.  State *s*'s
+*column* holds its successor mask under the *i*-th action at bit offset
+``i * |S|``, so the OR of the members' columns holds every action's
+image side by side, and the *i*-th image is ``images >> i * |S|`` cut to
+``|S|`` bits.  The columns are built once per model, by the first search
+that expands a belief (a search that stops at its root builds none), and
+published in one write to ``Model._columns``: ``|S|`` ints of
+``|A| * |S|`` bits each.  Two threads that race build equal columns, so
+either write may win.
+
 The two functions deliberately share no traversal code: verify_plan is
 the independent oracle for find_plan.  verify_plan memoizes each action's
 image of a reached set on the model (``Model._images``), so a step it has
-walked before is one dict lookup; the memo is verify_plan's alone, and
-find_plan neither reads nor writes it.
+walked before is one dict lookup.  Each function keeps its own data: the
+memo is verify_plan's alone, find_plan neither reads nor writes it, and
+verify_plan never reads the columns.
 """
 
 from __future__ import annotations
@@ -167,7 +178,10 @@ def _search(model: Model, root: int, goal: int) -> PlanResult:
     """:func:`find_plan` on masks: the start mask ``root`` and the goal
     mask ``goal``."""
     outside_goal = ~goal
-    moves = [(a, ~can, succ) for a, (can, succ) in model._moves.items()]
+    if not root & outside_goal:
+        return PlanResult(True, (), 1)
+    columns, moves = model._columns or _build_columns(model)
+    full = (1 << len(model.states)) - 1
 
     queue: deque[tuple[int, Plan]] = deque([(root, ())])
     visited = {root}
@@ -177,16 +191,35 @@ def _search(model: Model, root: int, goal: int) -> PlanResult:
         explored += 1
         if not belief & outside_goal:
             return PlanResult(True, path, explored)
-        for action, stuck, succ in moves:
+        images = 0
+        rest = belief
+        while rest:
+            low = rest & -rest
+            images |= columns[low.bit_length() - 1]
+            rest ^= low
+        for action, stuck, offset in moves:
             if belief & stuck:
                 continue
-            image = 0
-            rest = belief
-            while rest:
-                low = rest & -rest
-                image |= succ[low.bit_length() - 1]
-                rest ^= low
+            image = images >> offset & full
             if image not in visited:
                 visited.add(image)
                 queue.append((image, path + (action,)))
     return PlanResult(False, None, explored)
+
+
+def _build_columns(model: Model) -> tuple[tuple[int, ...], tuple[tuple[str, int, int], ...]]:
+    """Build and publish ``model._columns``: state *s*'s column holds its
+    successor mask under the *i*-th action at bit offset ``i * |S|``, and
+    each action is listed as ``(name, ~can, offset)``."""
+    n = len(model.states)
+    columns = [0] * n
+    moves = []
+    for i, (action, (can, succ)) in enumerate(model._moves.items()):
+        offset = i * n
+        for s, row in enumerate(succ):
+            if row:
+                columns[s] |= row << offset
+        moves.append((action, ~can, offset))
+    built = (tuple(columns), tuple(moves))
+    object.__setattr__(model, "_columns", built)
+    return built

@@ -19,6 +19,8 @@ from knowhow import (
     verify_plan,
 )
 
+from knowhow.planning import _build_columns
+
 from helpers import plan_exists_bruteforce, plan_exists_pure, random_state_sets
 
 
@@ -209,12 +211,12 @@ def reference_verify_plan(model: Model, starts: frozenset, goals: frozenset, pla
     return PlanCheck(True)
 
 
-def _random_model(rng: random.Random) -> Model:
-    """1-8 states and 1-3 actions.  Half the models give each edge a
-    per-model density; the other half give each state one or two
-    successors per action, or none with a per-model chance, so that
-    beliefs rarely get stuck and searches run deeper."""
-    states = tuple(f"s{i}" for i in range(1, rng.randint(1, 8) + 1))
+def _random_model(rng: random.Random, sizes: tuple[int, int] = (1, 8)) -> Model:
+    """1-8 states (or a count drawn from ``sizes``) and 1-3 actions.  Half
+    the models give each edge a per-model density; the other half give
+    each state one or two successors per action, or none with a per-model
+    chance, so that beliefs rarely get stuck and searches run deeper."""
+    states = tuple(f"s{i}" for i in range(1, rng.randint(*sizes) + 1))
     actions = ("a", "b", "c")[: rng.randint(1, 3)]
     transitions = {}
     if rng.getrandbits(1):
@@ -233,11 +235,11 @@ def _random_model(rng: random.Random) -> Model:
     return Model(states, actions, transitions, {})
 
 
-def _random_case(rng: random.Random, case: int):
-    """A model with a start set and a goal set.  Every tenth start set and
-    every tenth goal set is empty; every other goal set is the belief
+def _random_case(rng: random.Random, case: int, sizes: tuple[int, int] = (1, 8)):
+    """A model with a start set and a goal set.  Every tenth start set
+    and every tenth goal set is empty; every other goal set is the belief
     reached from the starts by a random action sequence."""
-    model = _random_model(rng)
+    model = _random_model(rng, sizes)
     starts = frozenset(s for s in model.states if rng.getrandbits(1))
     if case % 10 == 0:
         starts = frozenset()
@@ -271,6 +273,23 @@ class TestAgainstStringSetReference:
             lengths.add(None if result.witness is None else len(result.witness))
         assert empty_starts >= 100 and empty_goals >= 100
         assert {None, 0, 1, 2, 3, 4, 5} <= lengths, lengths
+
+    def test_find_plan_above_eight_states(self):
+        # 9-24 states: each state's column holds several actions' successor
+        # masks, each wider than a byte, side by side in one int.
+        rng = random.Random(2017)
+        lengths = set()
+        expanded = 0
+        for case in range(300):
+            model, starts, goals = _random_case(rng, case, (9, 24))
+            result = find_plan(model, starts, goals)
+            assert (result.decision, result.witness, result.explored) == reference_find_plan(
+                model, starts, goals
+            ), (case, model.transitions, starts, goals)
+            lengths.add(None if result.witness is None else len(result.witness))
+            expanded += len(model.actions) > 1 and result.explored > 1
+        assert {None, 0, 1, 2, 3, 4, 5, 6} <= lengths and max(n or 0 for n in lengths) >= 10, lengths
+        assert expanded >= 100
 
     def test_verify_plan_every_field(self):
         rng = random.Random(2016)
@@ -366,10 +385,12 @@ def _memo_models() -> list[Model]:
 
 
 class TestImageMemo:
-    """``verify_plan`` memoizes action images on the model.  The memo
-    must never change an answer, must stay within ``2^|S|`` entries per
-    action, must be invisible from outside, and must never be read by
-    the search."""
+    """``verify_plan`` memoizes action images on the model, and
+    ``find_plan`` keeps its columns there.  The memo must never change an
+    answer, must stay within ``2^|S|`` entries per action, must be
+    invisible from outside, and must never be read by the search; the
+    columns must be invisible too, equal whichever thread builds them,
+    and never read by ``verify_plan``."""
 
     def test_warm_memo_gives_the_same_answers(self):
         rng = random.Random(12)
@@ -410,6 +431,25 @@ class TestImageMemo:
                     )
             assert misread  # the poison sits where verify_plan reads
 
+    def test_verify_plan_never_reads_the_columns(self):
+        rng = random.Random(14)
+        for model in _memo_models():
+            poisoned = _fresh(model)
+            # Every state steps to every state under every action, from anywhere.
+            wide = (1 << len(model.states) * len(model.actions)) - 1
+            moves = tuple((a, 0, i * len(model.states)) for i, a in enumerate(model.actions))
+            object.__setattr__(poisoned, "_columns", ((wide,) * len(model.states), moves))
+            plans = [p for n in range(4) for p in product(model.actions, repeat=n)]
+            misread = 0
+            for _ in range(8):
+                starts, goals = random_state_sets(model, rng)
+                for plan in plans:
+                    assert verify_plan(poisoned, starts, goals, plan) == verify_plan(
+                        model, starts, goals, plan
+                    )
+                misread += find_plan(poisoned, starts, goals) != find_plan(model, starts, goals)
+            assert misread  # the poison sits where find_plan reads
+
     def test_memo_is_invisible(self):
         rng = random.Random(15)
         for model in _memo_models():
@@ -420,6 +460,20 @@ class TestImageMemo:
                 verify_plan(used, starts, goals, plan)
             assert any(used._images.values())
             fresh = _fresh(model)
+            assert used == fresh and hash(used) == hash(fresh)
+            assert repr(used) == repr(fresh)
+            assert used.transitions == fresh.transitions
+            assert used.valuation == fresh.valuation
+            assert format_model(used) == format_model(fresh)
+
+    def test_columns_are_invisible(self):
+        rng = random.Random(17)
+        for model in _memo_models():
+            used = _fresh(model)
+            while used._columns is None:
+                find_plan(used, *random_state_sets(used, rng))
+            fresh = _fresh(model)
+            assert fresh._columns is None
             assert used == fresh and hash(used) == hash(fresh)
             assert repr(used) == repr(fresh)
             assert used.transitions == fresh.transitions
@@ -437,25 +491,41 @@ class TestImageMemo:
         # The serial answers come from fresh copies, so the threads start
         # on models whose memos are empty.
         expected = [verify_plan(_fresh(model), starts, goals, plan) for model, starts, goals, plan in cases]
+        assert all(out == expected for out in _in_four_threads(verify_plan, cases))
 
-        results: list[list[PlanCheck]] = [[] for _ in range(4)]
-        barrier = threading.Barrier(4)
+    def test_threads_searching_a_model(self):
+        rng = random.Random(18)
+        models = _memo_models() + [_random_model(rng, (9, 24)) for _ in range(10)]
+        cases = [(model, *random_state_sets(model, rng)) for model in models for _ in range(20)]
+        # Fresh copies again: the threads race to build each model's columns.
+        expected = [find_plan(_fresh(model), starts, goals) for model, starts, goals in cases]
+        assert all(out == expected for out in _in_four_threads(find_plan, cases))
+        # Whichever thread published a model's columns, they are a fresh build's.
+        assert all(model._columns == _build_columns(_fresh(model)) for model in models)
 
-        def worker(out: list[PlanCheck]) -> None:
-            barrier.wait()
-            out.extend(verify_plan(*case) for case in cases)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(out,)) for out in results]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(out == expected for out in results)
+def _in_four_threads(call, cases: list[tuple]) -> list[list]:
+    """Each of four threads, released together, applies ``call`` to every
+    case in order, switching threads as often as the interpreter allows."""
+    results: list[list] = [[] for _ in range(4)]
+    barrier = threading.Barrier(4)
+
+    def worker(out: list) -> None:
+        barrier.wait()
+        out.extend(call(*case) for case in cases)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(out,)) for out in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
 
 
 def test_plan_result_records_exploration():
