@@ -5,17 +5,23 @@ transition relation per action and a valuation assigning proposition
 letters to states.  Models are immutable after construction; all queries
 are pure, so concurrent reads are safe.  A state or action name that the
 model does not declare, an unhashable one included, raises ``ValueError``.
-A model writes two things after construction, and neither changes a
+A model writes three things after construction, and none changes a
 result:
 
 * a memo of action images that only :func:`~knowhow.planning.verify_plan`
   fills and reads.  Its writes are idempotent (two threads that miss store
   the same image), it holds at most ``|A| * 2^|S|`` entries and no more
   than the steps already walked, and it is freed with the model;
+* a memo of start and goal set masks, also ``verify_plan``'s alone.  It
+  stores only arguments whose type is exactly ``frozenset`` and only
+  when every state in them is known, so it holds at most ``2^|S|``
+  entries.  Its writes are idempotent, and it is freed with the model,
+  keeping those frozensets alive as long as the model;
 * the columns of :func:`~knowhow.planning.find_plan`, written once, by the
   first search that expands a belief: ``|S|`` ints of ``|A| * |S|`` bits
   each.  Every writer builds equal columns, so two threads that race
-  publish the same data.  ``verify_plan`` never reads them.
+  publish the same data.  ``verify_plan`` never reads them, and
+  ``find_plan`` never reads either memo.
 
 File format (UTF-8, one declaration per line)::
 
@@ -66,6 +72,8 @@ class Model:
     masks, in the shape the constructor takes.  ``_images`` is
     ``verify_plan``'s memo: per action, a dict from a mask to its image,
     or to ``-1`` when some member of the mask has no successor.
+    ``_set_masks`` is ``verify_plan``'s too: the mask of each exact
+    ``frozenset`` it was passed as a start or goal set.
     ``_columns`` is ``find_plan``'s, ``None`` until its first search that
     expands a belief: each state's successor masks under all actions side
     by side in one int, and per action its name, ``~can`` and bit offset
@@ -76,7 +84,7 @@ class Model:
     :mod:`~knowhow.modelgen`, takes the masks as stored and checks nothing.
     """
 
-    __slots__ = ("states", "actions", "_index", "_moves", "_letters", "_images", "_columns")
+    __slots__ = ("states", "actions", "_index", "_moves", "_letters", "_images", "_set_masks", "_columns")
 
     def __init__(
         self,
@@ -128,8 +136,8 @@ class Model:
         return object.__new__(cls)._store(states, actions, index, rows, letters)
 
     def _store(self, states: tuple, actions: tuple, index: dict, rows: Sequence, letters: dict) -> Model:
-        """The one storing step: set the slots, with a fresh ``_images`` memo
-        and no ``_columns``."""
+        """The one storing step: set the slots, with fresh ``_images`` and
+        ``_set_masks`` memos and no ``_columns``."""
         moves: dict[str, tuple[int, tuple[int, ...]]] = {}
         for a, succ in zip(actions, rows):
             can = 0
@@ -143,6 +151,7 @@ class Model:
         object.__setattr__(self, "_moves", moves)
         object.__setattr__(self, "_letters", letters)
         object.__setattr__(self, "_images", {a: {} for a in actions})
+        object.__setattr__(self, "_set_masks", {})
         object.__setattr__(self, "_columns", None)
         return self
 

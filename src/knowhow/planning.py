@@ -44,10 +44,18 @@ published in one write to ``Model._columns``: ``|S|`` ints of
 either write may win.
 
 The two functions deliberately share no traversal code: verify_plan is
-the independent oracle for find_plan.  verify_plan memoizes each action's
-image of a reached set on the model (``Model._images``), so a step it has
-walked before is one dict lookup.  Each function keeps its own data: the
-memo is verify_plan's alone, find_plan neither reads nor writes it, and
+the independent oracle for find_plan.  verify_plan keeps two memos on the
+model, so that the work that repeats across its calls runs once per
+model.  ``Model._images`` holds each action's image of a reached set, so
+a step it has walked before is one dict lookup.  ``Model._set_masks``
+maps a start or goal set to its mask, for arguments whose type is
+exactly ``frozenset`` (any other iterable, a frozenset subclass
+included, is read afresh on each call): at most ``2^|S|`` entries, one
+per subset, and a set with an unknown state is never stored.  Writes to
+both are idempotent, so two threads that miss store equal values; both
+are freed with the model, and the set memo keeps the frozensets it holds
+alive that long.  Each function keeps its own data: the memos are
+verify_plan's alone, find_plan neither reads nor writes them, and
 verify_plan never reads the columns.
 """
 
@@ -55,6 +63,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import length_hint
 from typing import Iterable, NamedTuple, Optional
 
 from .models import Model, Plan
@@ -122,23 +131,39 @@ def verify_plan(
     declaration order, then prefix length, then reached states in
     declaration order.
     """
-    start_mask = model._mask(starts, "start set mentions ")
-    goal_mask = model._mask(goals, "goal set mentions ")
+    sets = model._set_masks
+    if type(starts) is frozenset:
+        start_mask = sets.get(starts)
+        if start_mask is None:
+            start_mask = sets[starts] = model._mask(starts, "start set mentions ")
+    else:
+        start_mask = model._mask(starts, "start set mentions ")
+    if type(goals) is frozenset:
+        goal_mask = sets.get(goals)
+        if goal_mask is None:
+            goal_mask = sets[goals] = model._mask(goals, "goal set mentions ")
+    else:
+        goal_mask = model._mask(goals, "goal set mentions ")
     steps: Plan = tuple(plan)
     try:
-        memos = [model._images[a] for a in steps]
+        # A list, not tuple(map(...)): such a tuple is allocated at a guessed
+        # size and shrunk, so the freed ones pile up in CPython's per-size
+        # tuple free lists, about 1 MB more peak memory on the oracle sweep.
+        memos = list(map(model._images.__getitem__, steps))
     except (KeyError, TypeError):
         raise model._unknown_action(steps) from None
     states = model.states
 
     rest = start_mask
     while rest:
-        reached = rest & -rest
-        rest ^= reached
-        start = states[reached.bit_length() - 1]
-        for k, memo in enumerate(memos):
+        first = rest & -rest  # the start's bit; its name is looked up only on failure
+        rest ^= first
+        reached = first
+        ahead = iter(memos)
+        for memo in ahead:
             image = memo.get(reached, -2)
             if image < 0:
+                k = len(steps) - length_hint(ahead) - 1  # ahead holds the later steps
                 can, succ = model._moves[steps[k]]
                 if image == -2:  # a miss: compute the image and store it
                     if reached & ~can:
@@ -154,12 +179,14 @@ def verify_plan(
                 if image < 0:
                     stuck = reached & ~can
                     state = states[(stuck & -stuck).bit_length() - 1]
-                    return PlanCheck(False, "stuck", start, k, steps[k], state)
+                    start = states[first.bit_length() - 1]
+                    return tuple.__new__(PlanCheck, (False, "stuck", start, k, steps[k], state))
             reached = image
         bad = reached & ~goal_mask
         if bad:
             state = states[(bad & -bad).bit_length() - 1]
-            return PlanCheck(False, "endpoint", start, None, None, state)
+            start = states[first.bit_length() - 1]
+            return tuple.__new__(PlanCheck, (False, "endpoint", start, None, None, state))
     return _PLAN_OK
 
 

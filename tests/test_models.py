@@ -388,6 +388,32 @@ class TestQueries:
         with pytest.raises(ValueError, match=r"^goal set mentions unknown state 'nope'$"):
             verify_plan(ex1, {"s2"}, {"nope"}, ("r",))
 
+    def test_memoized_start_set_still_checks_the_goal_set(self, ex1):
+        model = parse_model(format_model(ex1))  # a fresh model, with empty memos
+        starts = frozenset({"s1", "s2"})
+        verify_plan(model, starts, starts, ("r",))
+        assert starts in model._set_masks
+        with pytest.raises(ValueError, match=r"^goal set mentions unknown state 'nope'$"):
+            verify_plan(model, starts, frozenset({"s2", "nope"}), ("r",))
+
+    def test_unknown_state_in_a_frozenset_is_never_stored(self, ex1):
+        model = parse_model(format_model(ex1))
+        starts = frozenset({"s2", "zz", "nope"})
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"^start set mentions unknown state 'nope'$"):
+                verify_plan(model, starts, frozenset(), ())
+            with pytest.raises(ValueError, match=r"^goal set mentions unknown state 'nope'$"):
+                verify_plan(model, frozenset(), starts, ())
+        assert model._set_masks == {frozenset(): 0}
+
+    def test_unknown_action_with_memoized_sets(self, ex1):
+        starts, goals = frozenset({"s1"}), frozenset({"s1", "s3"})
+        verify_plan(ex1, starts, goals, ("r",))
+        assert starts in ex1._set_masks and goals in ex1._set_masks
+        for plan in (("r", "z"), ("z",), (["r"],)):
+            with pytest.raises(ValueError, match=r"^unknown action "):
+                verify_plan(ex1, starts, goals, plan)
+
     def test_canonical_names_least_unknown_state(self, ex1):
         with pytest.raises(ValueError, match=r"^unknown state 'aa'$"):
             ex1.canonical(["s1", "zz", "aa", "qq"])

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 import threading
-from collections import deque
-from itertools import product
+from collections import Counter, deque
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -367,6 +368,56 @@ class TestAgainstBruteForce:
         assert composed >= 30  # the generator actually produced usable triples
 
 
+class TestVerifyPlanPin:
+    def test_golden_digest(self):
+        """One sha256 over every ``verify_plan`` result of a fixed call
+        list, type included, computed before the start and goal sets were
+        memoized on the model.  The calls pass the same frozensets again
+        and again, as the brute-force oracle does."""
+        digest = hashlib.sha256()
+        kinds = Counter()
+
+        def check(model, starts, goals, plan):
+            result = verify_plan(model, starts, goals, plan)
+            digest.update(repr((model.canonical(starts), model.canonical(goals), plan)).encode())
+            digest.update(repr((type(result).__module__, type(result).__qualname__, tuple(result))).encode())
+            kinds[result.kind] += 1
+            return result
+
+        # Every start/goal pair and every plan up to length 4 on a sample
+        # of the exhaustive 2-state/2-action stream.
+        rng = random.Random(22)
+        stream = list(generate(GenConfig(max_states=2, max_actions=2, letters=(), mode="exhaustive")))
+        for model in rng.sample(stream, 48):
+            plans = [p for n in range(5) for p in product(model.actions, repeat=n)]
+            for starts, goals in product(_subsets(model), repeat=2):
+                for plan in plans:
+                    check(model, starts, goals, plan)
+        # The brute-force oracle's call sequence on seeded 3-state cases.
+        cfg = GenConfig(max_states=3, max_actions=2, letters=(), seed=22)
+        models = (m for m in generate(cfg, 10_000) if len(m.states) == 3)
+        for model in islice(models, 200):
+            starts, goals = random_state_sets(model, rng)
+            for length in range(2 ** len(model.states) + 1):
+                seen = set()
+                for plan in product(model.actions, repeat=length):
+                    seen.add(check(model, starts, goals, plan).kind)
+                    if None in seen:
+                        break
+                if None in seen or "endpoint" not in seen:
+                    break
+        # Plans up to length 6 on 9-24 state models.
+        for _ in range(4):
+            model = _random_model(rng, (9, 24))
+            plans = [p for n in range(7) for p in product(model.actions, repeat=n)]
+            for _ in range(2):
+                starts, goals = random_state_sets(model, rng)
+                for plan in plans:
+                    check(model, starts, goals, plan)
+        assert kinds == {None: 8948, "endpoint": 28305, "stuck": 32067}
+        assert digest.hexdigest() == "477c29c96f555754dc0630d6b66bc7bf45fc6c4d0d874ac387bd28d45e503d85"
+
+
 # --- verify_plan's image memo on the model -----------------------------------
 
 
@@ -502,6 +553,108 @@ class TestImageMemo:
         assert all(out == expected for out in _in_four_threads(find_plan, cases))
         # Whichever thread published a model's columns, they are a fresh build's.
         assert all(model._columns == _build_columns(_fresh(model)) for model in models)
+
+
+class _Names(frozenset):
+    """A frozenset subclass: equal to the frozenset of its states, but not one."""
+
+
+def _subsets(model: Model) -> list[frozenset]:
+    """Every set of ``model``'s states, each a new frozenset."""
+    return [frozenset(c) for n in range(len(model.states) + 1) for c in combinations(model.states, n)]
+
+
+class TestSetMemo:
+    """``verify_plan`` memoizes the mask of each start and goal set that
+    is exactly a ``frozenset``.  The memo must never change an answer,
+    must hold nothing else, must stay within ``2^|S|`` entries, must be
+    invisible from outside and must never be read by the search."""
+
+    def test_memo_is_invisible(self):
+        rng = random.Random(19)
+        for model in _memo_models():
+            used = _fresh(model)
+            for _ in range(50):
+                starts, goals = random_state_sets(used, rng)
+                plan = tuple(rng.choice(used.actions) for _ in range(rng.randint(0, 4)))
+                verify_plan(used, starts, goals, plan)
+            assert used._set_masks
+            fresh = _fresh(model)
+            assert not fresh._set_masks
+            assert used == fresh and hash(used) == hash(fresh)
+            assert repr(used) == repr(fresh)
+            assert used.transitions == fresh.transitions
+            assert used.valuation == fresh.valuation
+            assert format_model(used) == format_model(fresh)
+
+    def test_search_never_reads_the_memo(self):
+        for model in _memo_models():
+            poisoned = _fresh(model)
+            everything = (1 << len(model.states)) - 1
+            subsets = _subsets(model)
+            for names in subsets:
+                poisoned._set_masks[names] = everything ^ model._mask(names)
+            misread = 0
+            for starts, goals in product(subsets, repeat=2):
+                found = find_plan(poisoned, starts, goals)
+                expected = find_plan(model, starts, goals)
+                assert (found.decision, found.witness, found.explored) == (
+                    expected.decision, expected.witness, expected.explored,
+                )
+                for action in model.actions:
+                    misread += verify_plan(poisoned, starts, goals, (action,)) != verify_plan(
+                        model, starts, goals, (action,)
+                    )
+            assert misread  # the poison sits where verify_plan reads
+
+    def test_only_exact_frozensets_are_stored(self):
+        rng = random.Random(20)
+        for model in _memo_models():
+            used = _fresh(model)
+            plans = [p for n in range(4) for p in product(model.actions, repeat=n)]
+            for _ in range(4):
+                starts, goals = random_state_sets(model, rng)
+                for plan in plans:
+                    expected = reference_verify_plan(model, starts, goals, plan)
+                    for wrap in (list, set, tuple, lambda names: (s for s in names), iter, _Names):
+                        assert verify_plan(used, wrap(starts), wrap(goals), plan) == expected
+            assert not used._set_masks
+            assert any(used._images.values())
+
+    def test_memo_is_bounded_by_the_subsets(self):
+        for model in _memo_models():
+            used = _fresh(model)
+            for _ in range(3):  # new but equal frozensets each round
+                subsets = _subsets(model)
+                for starts, goals in product(subsets, repeat=2):
+                    verify_plan(used, starts, goals, model.actions[:1])
+            assert len(used._set_masks) == 2 ** len(model.states)
+            assert all(mask == model._mask(names) for names, mask in used._set_masks.items())
+
+    def test_consecutive_exhaustive_models_keep_their_own_memo(self):
+        cfg = GenConfig(max_states=2, max_actions=2, letters=("p", "q"), mode="exhaustive")
+        models = list(generate(cfg, 16 * 40))
+        everything = frozenset(models[0].states)
+        for model, following in zip(models, models[1:]):
+            assert following._set_masks is not model._set_masks
+            verify_plan(model, everything, everything, model.actions[:1])
+            assert model._set_masks == {everything: (1 << len(model.states)) - 1}
+            assert not following._set_masks
+
+    def test_threads_sharing_a_model(self):
+        rng = random.Random(21)
+        cases = []
+        for model in _memo_models():
+            plans = [p for n in range(4) for p in product(model.actions, repeat=n)]
+            subsets = _subsets(model)
+            for _ in range(3):
+                starts, goals = rng.choice(subsets), rng.choice(subsets)
+                cases += [(model, starts, goals, plan) for plan in plans]
+        # Fresh copies give the serial answers, so the threads start on
+        # models whose memos are empty and race to fill them.
+        expected = [verify_plan(_fresh(model), starts, goals, plan) for model, starts, goals, plan in cases]
+        assert all(out == expected for out in _in_four_threads(verify_plan, cases))
+        assert all(mask == model._mask(names) for model, *_ in cases for names, mask in model._set_masks.items())
 
 
 def _in_four_threads(call, cases: list[tuple]) -> list[list]:
