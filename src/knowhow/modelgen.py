@@ -30,7 +30,7 @@ from typing import Iterator, Optional
 
 from .models import Model
 from .proofs import AXIOM_SCHEMAS, theorem_db
-from .semantics import Program, _compile, _run, _slices
+from .semantics import Program, _compile, _Decisions, _run, _slices
 from .syntax import _ATOM_NAME, Formula, atom_names, parse_formula
 
 __all__ = [
@@ -165,10 +165,11 @@ def find_countermodel(
     (required for random mode).  ``phi`` is normalized and compiled once
     for the whole search, and each model runs that program once.
     """
-    program = _compile(phi)
+    program, (root,) = _compile(phi)
     for model in generate(cfg, limit):
-        everything = (1 << len(model.states)) - 1
-        missing = everything & ~_run(program, model, model._letters, {}, everything)
+        decisions = _Decisions(model)
+        everything = decisions.everything
+        missing = everything & ~_run(program, model._letters, decisions, everything)[root]
         if missing:
             return model, model.states[(missing & -missing).bit_length() - 1]
     return None
@@ -207,25 +208,33 @@ _ROUTES: tuple[tuple[str, Formula, Optional[Formula]], ...] = (
 @functools.lru_cache(maxsize=1)
 def _audit_rows(
     schemas: tuple[tuple[str, Formula], ...], routes: tuple[tuple[str, Formula, Optional[Formula]], ...]
-) -> tuple[tuple[str, Program, Optional[Program], tuple[str, ...]], ...]:
-    """Name, compiled program, compiled U twin (None for a validity) and
-    sorted letters of every audited row: ``schemas`` (the axioms), the
-    derived theorems, then ``routes``.  Called with the current
-    :data:`~knowhow.proofs.AXIOM_SCHEMAS` and :data:`_ROUTES`, so the rows
-    are built again only when either has changed."""
+) -> tuple[tuple[tuple[str, ...], Program, tuple[tuple[int, str, int, Optional[int]], ...]], ...]:
+    """The audited rows, ``schemas`` (the axioms), the derived theorems,
+    then ``routes``, grouped by their sorted letters.  Each group is its
+    letters, one program of all its rows and their ``U`` twins, and its
+    rows, each as its position among all rows, its name, and the slots of
+    its root and of its twin's root (None for a validity).  Called with the
+    current :data:`~knowhow.proofs.AXIOM_SCHEMAS` and :data:`_ROUTES`, so
+    the rows are built again only when either has changed."""
     named: list[tuple[str, Formula, Optional[Formula]]] = [
         (name, schema, None) for name, schema in schemas
     ]
     named += [(entry.name, entry.formula, None) for entry in theorem_db()]
     named += routes
-    rows = []
-    for name, phi, twin in named:
-        letters = atom_names(phi)
-        if twin is not None:
-            letters |= atom_names(twin)
-            twin = _compile(twin)
-        rows.append((name, _compile(phi), twin, tuple(sorted(letters))))
-    return tuple(rows)
+    groups: dict[tuple[str, ...], list[tuple[int, str, Formula, Optional[Formula]]]] = {}
+    for position, (name, phi, twin) in enumerate(named):
+        letters = atom_names(phi) | (atom_names(twin) if twin is not None else frozenset())
+        groups.setdefault(tuple(sorted(letters)), []).append((position, name, phi, twin))
+    compiled = []
+    for letters, rows in groups.items():
+        program, slots = _compile(*[root for _, _, *pair in rows for root in pair if root is not None])
+        slot = iter(slots)  # each row's root, then its twin's
+        members = tuple(
+            (position, name, next(slot), None if twin is None else next(slot))
+            for position, name, _, twin in rows
+        )
+        compiled.append((letters, program, members))
+    return tuple(compiled)
 
 
 def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
@@ -240,29 +249,33 @@ def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
     ``schema[x := y, ...]`` on a model is the extension of ``schema`` with
     each letter ``x`` read as the extension of ``y``; it holds by induction
     on the schema, because ``Kh`` reads only the extensions of its two
-    arguments.  So each row's programs run once per model, over a wide int
-    that concatenates one slice per assignment in ``product`` order.  For
-    ``n`` states a slice is ``w = 8*ceil(n/8)`` bits, and its padding bits
-    are always 0.  A row with ``k`` letters reads letter ``x`` as the wide
-    int whose slices are the masks ``x`` takes in each assignment; these
-    values and the all-true value are built once per model and arity.
-    ``Kh`` splits its operands into slices and looks each pair up in the
-    model's one decision memo.  A validity row fails on the slices that are
-    not full, a ``U`` pair on the slices where exactly one of its two
-    programs is full.  The memo and the wide ints (one per op, each
-    ``len(cfg.letters)**k * w`` bits) are freed with the model.  The rows
-    are built once while the schemas and routes stay the same, so a repeat
-    audit builds and compiles no formula."""
+    arguments.  So the rows run once per model, over a wide int that
+    concatenates one slice per assignment in ``product`` order.  Rows over
+    the same letters share one program, which lists every distinct node of
+    all of them and their ``U`` twins once, so a model runs one program per
+    letter set.  For ``n`` states a slice is ``w = 8*ceil(n/8)`` bits, and
+    its padding bits are always 0.  A row with ``k`` letters reads letter
+    ``x`` as the wide int whose slices are the masks ``x`` takes in each
+    assignment; these values and the all-true value are built once per
+    model and arity.  ``Kh`` splits its operands into slices and looks each
+    pair up in the model's one decision memo, whose misses run the plan
+    search.  A validity row fails on the slices that are not full, a ``U``
+    pair on the slices where exactly one of its two roots is full.  A
+    program's values (one wide int per op, each ``len(cfg.letters)**k * w``
+    bits) are freed before the next program runs, and the memo with the
+    model.  The rows are built once while the schemas and routes stay the
+    same, so a repeat audit builds and compiles no formula."""
     if not cfg.letters:
         raise ValueError("the audit needs at least one proposition letter")
-    rows = _audit_rows(tuple(AXIOM_SCHEMAS.items()), _ROUTES)
-    arities = {len(row_letters) for *_, row_letters in rows}
+    groups = _audit_rows(tuple(AXIOM_SCHEMAS.items()), _ROUTES)
+    arities = {len(letters) for letters, _, _ in groups}
     base = len(cfg.letters)
     violations: list[AuditViolation] = []
     number = instances = 0
     for number, model in enumerate(generate(cfg, count), start=1):
         size = (len(model.states) + 7) >> 3
-        everything = (1 << len(model.states)) - 1
+        decisions = _Decisions(model)
+        everything = decisions.everything
         masks = [model._letters.get(y, 0).to_bytes(size, "little") for y in cfg.letters]
         # Per arity k: the all-true value, and the value of each letter j,
         # whose slices repeat each mask base**(k-1-j) times in turn.
@@ -273,19 +286,23 @@ def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
                 run = b"".join(mask * base ** (k - 1 - j) for mask in masks)
                 atoms.append(int.from_bytes(run * base**j, "little"))
             wide[k] = int.from_bytes(everything.to_bytes(size, "little") * base**k, "little"), atoms
-        decisions: dict[tuple[int, int], int] = {}
-        for name, program, twin, row_letters in rows:
+        found: list[tuple[int, AuditViolation]] = []
+        for row_letters, program, rows in groups:
             full, atoms = wide[len(row_letters)]
-            env = dict(zip(row_letters, atoms))
-            value = _run(program, model, env, decisions, full)
-            # A validity must be full; a U pair must be full on both or neither.
-            other = full if twin is None else _run(twin, model, env, decisions, full)
-            instances += base ** len(row_letters)
-            if value != other:
-                width = base ** len(row_letters) * size
-                slices = zip(_slices(value, width, size), _slices(other, width, size))
-                for combo, (x, y) in zip(product(cfg.letters, repeat=len(row_letters)), slices):
-                    if (x == everything) != (y == everything):
-                        assignment = tuple(zip(row_letters, combo))
-                        violations.append(AuditViolation(number, name, assignment, model))
+            values = _run(program, dict(zip(row_letters, atoms)), decisions, full)
+            instances += len(rows) * base ** len(row_letters)
+            width = base ** len(row_letters) * size
+            for position, name, root, twin in rows:
+                # A validity must be full; a U pair must be full on both or neither.
+                value, other = values[root], full if twin is None else values[twin]
+                if value != other:
+                    slices = zip(_slices(value, width, size), _slices(other, width, size))
+                    for combo, (x, y) in zip(product(cfg.letters, repeat=len(row_letters)), slices):
+                        if (x == everything) != (y == everything):
+                            assignment = tuple(zip(row_letters, combo))
+                            found.append((position, AuditViolation(number, name, assignment, model)))
+            del values
+        # Back to row order; the sort is stable, so product order holds within a row.
+        found.sort(key=lambda entry: entry[0])
+        violations += [violation for _, violation in found]
     return AuditReport(number, instances, tuple(violations))

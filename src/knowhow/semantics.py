@@ -16,15 +16,18 @@ bytes, and the padding bits above the ``n``-th of each slice are always
 0.  ``NOT``, ``AND`` and ``TOP`` act on all slices at once, with the
 caller's all-true value (every slice full) in place of the full mask.
 :func:`ext` and :func:`holds` run one slice, the model's own valuation;
-the soundness audit runs one slice per letter assignment of a schema, so
-each schema runs once per model.  A run holds one wide int per op of the
-program, each ``slices * w`` bits, and frees them when it returns.
+the soundness audit runs one slice per letter assignment, and one program
+per letter set that holds every row over those letters, so each row runs
+once per model.  A program may have several roots; a run returns one
+wide int per op, each ``slices * w`` bits, and the caller reads its roots'
+values from that list.
 
 ``Kh(cond, goal)`` holds either at every state or at none, and reads only
 the extensions of its two arguments.  A ``Kh`` op splits its operands into
-slices and looks each pair ``(cond mask, goal mask)`` up in a
-``decisions`` dict that the caller passes in, so each distinct pair costs
-one plan search however many Kh nodes and slices share it.  The dict
+slices and looks every pair ``(cond mask, goal mask)`` up in one C-level
+``map`` over the caller's decision memo, a ``dict`` whose misses run the
+plan search and store its decision.  So each distinct pair costs one plan
+search however many Kh nodes, slices and programs share it.  The memo
 belongs to one model and one caller, never to the module: decisions are
 never cached across calls, so concurrent evaluations over the same
 immutable model are safe.
@@ -32,7 +35,7 @@ immutable model are safe.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .models import Model
 from .planning import _search
@@ -48,15 +51,38 @@ _TOP, _ATOM, _NOT, _AND, _KH = range(5)
 Program = tuple[tuple, ...]
 
 
-def _compile(phi: Formula) -> Program:
-    """The program of ``normalize(phi)``: every distinct node once (equal
-    nodes are one object), each after its operands, so the last op is the
-    root.  It holds only ints, atom names and ``None``, never a node, so a
-    caller may keep it without keeping the formula alive."""
-    order = _subterms(normalize(phi))
-    slot = {node: i for i, node in enumerate(order)}
+class _Decisions(dict):
+    """The decision memo of one model: maps a pair ``(cond mask, goal
+    mask)`` to the mask of a ``Kh`` node with those operand extensions,
+    every state or none.  A missing pair runs the plan search and is
+    stored, so a lookup never misses twice."""
+
+    __slots__ = ("model", "everything")
+
+    def __init__(self, model: Model) -> None:
+        self.model = model
+        self.everything = (1 << len(model.states)) - 1
+
+    def __missing__(self, pair: tuple[int, int]) -> int:
+        # _search is looked up here, at call time, so that it can be wrapped.
+        mask = self[pair] = self.everything if _search(self.model, *pair).decision else 0
+        return mask
+
+
+def _compile(*roots: Formula) -> tuple[Program, tuple[int, ...]]:
+    """The program of the normal forms of ``roots``, and the position of
+    each root's value in it.  The program lists every distinct node of
+    them once (equal nodes are one object), each after its operands, so
+    with one root the last op is that root.  It holds only ints, atom names
+    and ``None``, never a node, so a caller may keep it without keeping the
+    formulas alive."""
+    normal = [normalize(root) for root in roots]
+    slot: dict[Formula, int] = {}
+    for root in normal:
+        for node in _subterms(root):
+            slot.setdefault(node, len(slot))
     ops: list[tuple] = []
-    for node in order:
+    for node in slot:
         kind = type(node)
         if kind is Not:
             ops.append((_NOT, slot[node.child], None))
@@ -68,26 +94,19 @@ def _compile(phi: Formula) -> Program:
             ops.append((_KH, slot[node.cond], slot[node.goal]))
         else:  # Top
             ops.append((_TOP, None, None))
-    return tuple(ops)
+    return tuple(ops), tuple(slot[root] for root in normal)
 
 
-def _run(
-    program: Program,
-    model: Model,
-    env: Mapping[str, int],
-    decisions: dict[tuple[int, int], int],
-    full: int,
-) -> int:
-    """The value of the compiled formula, in the layout of ``full``, the
-    all-true value: one slice per evaluation, ``8*ceil(n/8)`` bits for ``n``
-    states, with the padding bits above the ``n``-th 0.  The value of one
-    slice is a mask.  ``env`` gives each atom's value in the same layout
-    (absent atoms hold nowhere).  ``decisions`` maps a pair ``(cond mask,
-    goal mask)`` to the mask of a Kh node with those operand extensions;
-    it must only ever be used with this one model."""
-    size = (len(model.states) + 7) >> 3  # bytes in one slice
+def _run(program: Program, env: Mapping[str, int], decisions: _Decisions, full: int) -> list[int]:
+    """The value of every op of the program, in the layout of ``full``,
+    the all-true value: one slice per evaluation, ``8*ceil(n/8)`` bits for
+    ``n`` states, with the padding bits above the ``n``-th 0.  The value of
+    one slice is a mask.  ``env`` gives each atom's value in the same
+    layout (absent atoms hold nowhere).  ``decisions`` is the memo of the
+    model the values are over."""
+    size = (len(decisions.model.states) + 7) >> 3  # bytes in one slice
     width = (full.bit_length() + 7) >> 3  # bytes in all slices
-    everything = (1 << len(model.states)) - 1
+    decide = decisions.__getitem__
     values: list[int] = []
     for code, a, b in program:
         if code == _NOT:
@@ -97,16 +116,11 @@ def _run(
         elif code == _ATOM:
             values.append(env.get(a, 0))
         elif code == _KH:
-            found = []
-            for pair in zip(_slices(values[a], width, size), _slices(values[b], width, size)):
-                mask = decisions.get(pair)
-                if mask is None:
-                    mask = decisions[pair] = everything if _search(model, *pair).decision else 0
-                found.append(mask)
-            values.append(_joined(found, size))
+            pairs = zip(_slices(values[a], width, size), _slices(values[b], width, size))
+            values.append(_joined(map(decide, pairs), size))
         else:
             values.append(full)
-    return values[-1]
+    return values
 
 
 def _slices(value: int, width: int, size: int) -> Sequence[int]:
@@ -117,7 +131,7 @@ def _slices(value: int, width: int, size: int) -> Sequence[int]:
     return [int.from_bytes(data[i : i + size], "little") for i in range(0, width, size)]
 
 
-def _joined(slices: Sequence[int], size: int) -> int:
+def _joined(slices: Iterable[int], size: int) -> int:
     """The value whose slices, ``size`` bytes each, are ``slices``."""
     if size == 1:
         return int.from_bytes(bytes(slices), "little")
@@ -126,7 +140,9 @@ def _joined(slices: Sequence[int], size: int) -> int:
 
 def ext(model: Model, phi: Formula) -> frozenset[str]:
     """The extension of ``phi``: the set of states where it is true."""
-    mask = _run(_compile(phi), model, model._letters, {}, (1 << len(model.states)) - 1)
+    program, (root,) = _compile(phi)
+    decisions = _Decisions(model)
+    mask = _run(program, model._letters, decisions, decisions.everything)[root]
     return frozenset(model._names(mask))
 
 

@@ -37,7 +37,8 @@ from knowhow import (
 )
 import knowhow.modelgen as modelgen
 import knowhow.proofs as proofs
-from knowhow.semantics import _compile, _run
+import knowhow.semantics as semantics
+from knowhow.semantics import _compile, _Decisions, _run
 
 from helpers import ext_reference, random_formula
 
@@ -427,15 +428,15 @@ class TestAuditRoutes:
 
     def test_compiled_schema_equals_built_instance(self):
         cfg = GenConfig(max_states=4, max_actions=2, letters=("p", "q", "r"), seed=606)
-        programs = [(schema, _compile(schema), letters) for _, schema, letters in _schemas()]
+        programs = [(schema, *_compile(schema), letters) for _, schema, letters in _schemas()]
         compared = 0
         for model in generate(cfg, 200):
             masks = model._letters
-            decisions = {}
-            for schema, program, letters in programs:
+            decisions = _Decisions(model)
+            for schema, program, (root,), letters in programs:
                 for combo in product(cfg.letters, repeat=len(letters)):
                     env = {x: masks.get(y, 0) for x, y in zip(letters, combo)}
-                    compiled = model._names(_run(program, model, env, decisions, (1 << len(model.states)) - 1))
+                    compiled = model._names(_run(program, env, decisions, decisions.everything)[root])
                     instance = substitute_all(schema, {x: Atom(y) for x, y in zip(letters, combo)})
                     assert frozenset(compiled) == ext(model, instance), (schema, combo)
                     compared += 1
@@ -466,6 +467,55 @@ class TestAuditRoutes:
         assert report.violations and {v.schema for v in report.violations} == {"GOAL-CONJ"}
         monkeypatch.undo()
         assert soundness_audit(cfg, 40).ok
+
+    def test_rows_report_in_row_order_across_letter_sets(self, monkeypatch):
+        # A 1-letter row planted before a 3-letter one: within a model, every
+        # violation of the first comes before every violation of the second,
+        # whatever order the audit evaluates its letter sets in.
+        monkeypatch.setitem(proofs.AXIOM_SCHEMAS, "P-EVERYWHERE", parse_formula("p -> U p"))
+        monkeypatch.setitem(
+            proofs.AXIOM_SCHEMAS, "GOAL-CONJ", parse_formula("Kh(p, q) & Kh(p, r) -> Kh(p, q & r)")
+        )
+        cfg = GenConfig(max_states=4, max_actions=2, letters=("p", "q", "r"), seed=608)
+        report = soundness_audit(cfg, 40)
+        assert report == _substitute_route_audit(cfg, 40)
+        by_model = {}
+        for v in report.violations:
+            by_model.setdefault(v.model_number, []).append(v.schema)
+        both = [number for number, names in by_model.items() if len(set(names)) == 2]
+        assert both[:5] == [8, 9, 16, 19, 33]
+        for names in by_model.values():
+            assert names == sorted(names, key=["P-EVERYWHERE", "GOAL-CONJ"].index)
+
+    def test_golden_report_digest(self, monkeypatch):
+        """One sha256 over the reports of audits with wrong schemas of 1, 2,
+        3 and 4 letters planted, on one-byte and two-byte slices, computed
+        while the audit still ran one program per row."""
+        planted = {
+            "P-EVERYWHERE": "p -> U p",
+            "KH-SWAP": "Kh(p, q) -> Kh(q, p)",
+            "GOAL-CONJ": "Kh(p, q) & Kh(p, r) -> Kh(p, q & r)",
+            "KH-PAIR": "Kh(p, q) & Kh(r, o) -> Kh(p & r, q & o)",
+        }
+        for name, text in planted.items():
+            monkeypatch.setitem(proofs.AXIOM_SCHEMAS, name, parse_formula(text))
+        configs = [
+            (GenConfig(4, 2, ("p", "q", "r"), seed=608), 40),
+            (GenConfig(6, 3, ("p", "q", "r", "o"), seed=101), 20),
+            (GenConfig(3, 2, ("p", "q"), seed=7), 40),
+            (GenConfig(10, 2, ("p", "q", "r"), seed=619), 10),
+        ]
+        digest = hashlib.sha256()
+        seen = set()
+        for cfg, count in configs:
+            report = soundness_audit(cfg, count)
+            digest.update(repr((cfg, report.models_checked, report.instances_checked)).encode())
+            for v in report.violations:
+                digest.update(repr((v.model_number, v.schema, v.assignment)).encode())
+                digest.update(format_model(v.model).encode())
+                seen.add((v.schema, len(v.model.states) > 8))
+        assert seen == {(name, wide) for name in planted for wide in (False, True)}
+        assert digest.hexdigest() == "23f962830b2963eb06af66ffb7a18917939e3afc6328d8f56d1932c1784be0a5"
 
     def test_planted_routes_confirmed_through_ext_in_row_order(self, monkeypatch):
         # A non-valid KHPLUS-DEF and a U pair that does not match: every
@@ -531,6 +581,21 @@ class TestAuditSlices:
             report = soundness_audit(cfg, 1)
             assert report.ok
             assert report == _substitute_route_audit(cfg, 1)
+
+    @pytest.mark.parametrize("states", [6, 10])  # one-byte and two-byte slices
+    def test_one_search_per_pair_across_a_model(self, states, monkeypatch):
+        # Every row and letter set of a model shares its one decision memo.
+        searches = []
+        search = semantics._search
+
+        def recording(model, root, goal):
+            searches.append((root, goal))
+            return search(model, root, goal)
+
+        monkeypatch.setattr(semantics, "_search", recording)
+        (cfg,) = self._configs(states, ("p", "q", "r", "o"), 1)
+        assert soundness_audit(cfg, 1).ok
+        assert searches and len(set(searches)) == len(searches)
 
     def test_planted_schema_on_two_byte_slices(self, monkeypatch):
         # GOAL-CONJ rarely fails on models this dense; this stream has

@@ -214,7 +214,8 @@ class TestProgramCache:
 
     def test_program_holds_no_formula(self):
         phi = parse_formula("Khp(p & r, U ~q) <-> Kh(top, bot | r)")
-        program = semantics._compile(phi)
+        program, roots = semantics._compile(phi)
+        assert roots == (len(program) - 1,)
         assert program and all(type(op) is tuple and len(op) == 3 for op in program)
         for op in program:
             assert all(isinstance(x, (int, str, type(None))) for x in op), op
