@@ -12,8 +12,9 @@ first), so sparse models come first; the closed-form count is
 :func:`exhaustive_size`.  Both streams are deterministic functions of the
 configuration: identical configurations yield identical streams.  Both
 modes build the masks that :class:`~knowhow.models.Model` stores, in that
-order, for its unchecked constructor.  Exhaustive mode shares an edge
-bitmask's successor rows across its valuations, but never a memo.
+order, for its unchecked constructor: one column per state, holding its
+successor masks under all actions.  Exhaustive mode shares one columns
+tuple across an edge bitmask's valuations, but never a memo.
 
 Bounded countermodel search is enumerate-then-check: it is a falsifier
 for non-valid formulas, not a decision procedure for validity.
@@ -103,22 +104,23 @@ def _random_models(cfg: GenConfig) -> Iterator[Model]:
     actions = tuple(string.ascii_lowercase[: cfg.max_actions])
     while True:
         states = _state_names(rng.randint(1, cfg.max_states))
-        rows = []
+        n = len(states)
+        columns = [0] * n
+        offset = 0
         for _a in actions:
-            succ = []
-            for _src in states:
+            for src in range(n):
                 row = 0
-                for dst in range(len(states)):
+                for dst in range(n):
                     if rng.getrandbits(1):
                         row |= 1 << dst
-                succ.append(row)
-            rows.append(tuple(succ))
+                columns[src] |= row << offset
+            offset += n
         letters: dict[str, int] = {}
         for i in range(len(states)):
             for letter in cfg.letters:
                 if rng.getrandbits(1):
                     letters[letter] = letters.get(letter, 0) | 1 << i
-        yield Model._of_masks(states, actions, {s: i for i, s in enumerate(states)}, rows, letters)
+        yield Model._of_masks(states, actions, {s: i for i, s in enumerate(states)}, tuple(columns), letters)
 
 
 def _exhaustive_models(cfg: GenConfig) -> Iterator[Model]:
@@ -126,12 +128,17 @@ def _exhaustive_models(cfg: GenConfig) -> Iterator[Model]:
     actions = tuple(string.ascii_lowercase[: cfg.max_actions])
     index = {s: i for i, s in enumerate(states)}
     n, field = len(states), (1 << len(states)) - 1
+    offsets = range(0, len(actions) * n, n)
     for edges in range(1 << len(actions) * n * n):
-        # Action k's successor row of state i, and letter j's mask, are n-bit fields.
-        rows = tuple([tuple([edges >> (k * n + i) * n & field for i in range(n)]) for k in range(len(actions))])
+        # Action k's successor row of state i, at edge bit (k*n + i)*n, and
+        # letter j's mask are n-bit fields; the row goes to bit k*n of
+        # state i's column.
+        columns = tuple(
+            [sum((edges >> (offset + i) * n & field) << offset for offset in offsets) for i in range(n)]
+        )
         for valuation in range(1 << len(cfg.letters) * n):
             letters = {x: mask for j, x in enumerate(cfg.letters) if (mask := valuation >> j * n & field)}
-            yield Model._of_masks(states, actions, index, rows, letters)
+            yield Model._of_masks(states, actions, index, columns, letters)
 
 
 def exhaustive_size(cfg: GenConfig) -> int:

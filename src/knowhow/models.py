@@ -5,23 +5,21 @@ transition relation per action and a valuation assigning proposition
 letters to states.  Models are immutable after construction; all queries
 are pure, so concurrent reads are safe.  A state or action name that the
 model does not declare, an unhashable one included, raises ``ValueError``.
-A model writes three things after construction, and none changes a
-result:
+The successor relation is one table, built at construction: ``|S|`` ints
+of ``|A| * |S|`` bits each, which both :func:`~knowhow.planning.find_plan`
+and :func:`~knowhow.planning.verify_plan` read.  After construction a
+model writes only two memos, both ``verify_plan``'s alone (``find_plan``
+never reads them), and neither changes a result:
 
-* a memo of action images that only :func:`~knowhow.planning.verify_plan`
-  fills and reads.  Its writes are idempotent (two threads that miss store
-  the same image), it holds at most ``|A| * 2^|S|`` entries and no more
-  than the steps already walked, and it is freed with the model;
-* a memo of start and goal set masks, also ``verify_plan``'s alone.  It
-  stores only arguments whose type is exactly ``frozenset`` and only
-  when every state in them is known, so it holds at most ``2^|S|``
-  entries.  Its writes are idempotent, and it is freed with the model,
-  keeping those frozensets alive as long as the model;
-* the columns of :func:`~knowhow.planning.find_plan`, written once, by the
-  first search that expands a belief: ``|S|`` ints of ``|A| * |S|`` bits
-  each.  Every writer builds equal columns, so two threads that race
-  publish the same data.  ``verify_plan`` never reads them, and
-  ``find_plan`` never reads either memo.
+* a memo of action images.  Its writes are idempotent (two threads that
+  miss store the same image), it holds at most ``|A| * 2^|S|`` entries
+  and no more than the steps already walked, and it is freed with the
+  model;
+* a memo of start and goal set masks.  It stores only arguments whose
+  type is exactly ``frozenset`` and only when every state in them is
+  known, so it holds at most ``2^|S|`` entries.  Its writes are
+  idempotent, and it is freed with the model, keeping those frozensets
+  alive as long as the model.
 
 File format (UTF-8, one declaration per line)::
 
@@ -65,26 +63,24 @@ class Model:
 
     The masks are the record.  A set of states is an ``int`` with bit *i*
     for the *i*-th declared state, so equal sets are equal ints.
-    ``_moves`` maps each action to its "can move" mask (the states with an
-    edge labelled by it) and a tuple of each state's successor mask.
+    ``_columns`` is the successor relation: state *s*'s column holds its
+    successor mask under the *i*-th action at bit offset ``i * |S|``.
+    ``_moves`` maps each action, in declaration order, to ``~can`` (the
+    complement of the states with an edge labelled by it) and its offset.
     ``_letters`` maps each letter true somewhere to the mask of the states
     labelled with it.  ``transitions`` and ``valuation`` are views of the
     masks, in the shape the constructor takes.  ``_images`` is
     ``verify_plan``'s memo: per action, a dict from a mask to its image,
     or to ``-1`` when some member of the mask has no successor.
     ``_set_masks`` is ``verify_plan``'s too: the mask of each exact
-    ``frozenset`` it was passed as a start or goal set.
-    ``_columns`` is ``find_plan``'s, ``None`` until its first search that
-    expands a belief: each state's successor masks under all actions side
-    by side in one int, and per action its name, ``~can`` and bit offset
-    (see ``planning._build_columns``).  ``_mask`` resolves every state
-    name a caller passes, ``_unknown_action`` names the first unknown
-    action of a plan; an unhashable name is never known.
+    ``frozenset`` it was passed as a start or goal set.  ``_mask``
+    resolves every state name a caller passes, ``_unknown_action`` names
+    the first unknown action of a plan; an unhashable name is never known.
     ``__init__`` is the one validating path; ``_of_masks``, called only by
     :mod:`~knowhow.modelgen`, takes the masks as stored and checks nothing.
     """
 
-    __slots__ = ("states", "actions", "_index", "_moves", "_letters", "_images", "_set_masks", "_columns")
+    __slots__ = ("states", "actions", "_index", "_columns", "_moves", "_letters", "_images", "_set_masks")
 
     def __init__(
         self,
@@ -101,20 +97,18 @@ class Model:
         for label in transitions:
             if label not in declared:
                 raise ValueError(f"transition label {label!r} is not a declared action")
-        rows = []
-        for a in actions:
+        columns = [0] * len(states)
+        for offset, a in zip(range(0, len(actions) * len(states), len(states)), actions):
             edges = transitions.get(a, ())
-            succ = [0] * len(states)
             try:
                 edges = tuple(edges)
                 for edge in edges:
                     if not _is_pair(edge):
                         raise TypeError
                     src, dst = edge
-                    succ[index[src]] |= 1 << index[dst]
+                    columns[index[src]] |= 1 << index[dst] + offset
             except (KeyError, TypeError):
                 raise _edge_error(a, edges, index) from None
-            rows.append(tuple(succ))
         for s in valuation:
             if s not in index:
                 raise ValueError(f"valuation mentions undeclared state {s!r}")
@@ -128,39 +122,43 @@ class Model:
                     f"valuation of state {s!r} is not a collection of hashable letters: "
                     f"{valuation[s]!r}"
                 ) from None
-        self._store(states, actions, index, rows, letters)
+        self._store(states, actions, index, tuple(columns), letters)
 
     @classmethod
-    def _of_masks(cls, states: tuple, actions: tuple, index: dict, rows: Sequence, letters: dict) -> Model:
-        """The model of ``rows`` (each action's successor masks) and nonzero ``letters``, unchecked."""
-        return object.__new__(cls)._store(states, actions, index, rows, letters)
+    def _of_masks(cls, states: tuple, actions: tuple, index: dict, columns: tuple, letters: dict) -> Model:
+        """The model of ``columns`` (each state's successor masks) and nonzero ``letters``, unchecked."""
+        return object.__new__(cls)._store(states, actions, index, columns, letters)
 
-    def _store(self, states: tuple, actions: tuple, index: dict, rows: Sequence, letters: dict) -> Model:
+    def _store(self, states: tuple, actions: tuple, index: dict, columns: tuple, letters: dict) -> Model:
         """The one storing step: set the slots, with fresh ``_images`` and
-        ``_set_masks`` memos and no ``_columns``."""
-        moves: dict[str, tuple[int, tuple[int, ...]]] = {}
-        for a, succ in zip(actions, rows):
+        ``_set_masks`` memos."""
+        n = len(states)
+        moves: dict[str, tuple[int, int]] = {}
+        offset, field = 0, (1 << n) - 1  # an action's place in a column
+        for a in actions:
             can = 0
-            for i, row in enumerate(succ):
-                if row:
+            for i, column in enumerate(columns):
+                if column & field:
                     can |= 1 << i
-            moves[a] = (can, succ)
+            moves[a] = (~can, offset)
+            offset += n
+            field <<= n
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_moves", moves)
         object.__setattr__(self, "_letters", letters)
         object.__setattr__(self, "_images", {a: {} for a in actions})
         object.__setattr__(self, "_set_masks", {})
-        object.__setattr__(self, "_columns", None)
         return self
 
     @property
     def transitions(self) -> dict[str, frozenset[tuple[str, str]]]:
         """Each action's edges as (source, target) pairs."""
         return {
-            a: frozenset((s, t) for s, row in zip(self.states, succ) for t in self._names(row))
-            for a, (_, succ) in self._moves.items()
+            a: frozenset((s, t) for s, col in zip(self.states, self._columns) for t in self._names(col >> offset))
+            for a, (_, offset) in self._moves.items()
         }
 
     @property
@@ -180,7 +178,7 @@ class Model:
         return (
             self.states == other.states
             and self.actions == other.actions
-            and self._moves == other._moves
+            and self._columns == other._columns
             and self._letters == other._letters
         )
 
@@ -188,7 +186,7 @@ class Model:
         return hash((self.states, self.actions))
 
     def __repr__(self) -> str:
-        edges = sum(row.bit_count() for _, succ in self._moves.values() for row in succ)
+        edges = sum(column.bit_count() for column in self._columns)
         return f"<Model |S|={len(self.states)} |A|={len(self.actions)} edges={edges}>"
 
     # -- queries ------------------------------------------------------
@@ -221,14 +219,14 @@ class Model:
         return ValueError(f"unknown action {next(a for a in plan if not _declared(a, self._moves))!r}")
 
     def _names(self, mask: int) -> tuple[str, ...]:
-        """The states in ``mask``, in declaration order."""
+        """The states in the low ``|S|`` bits of ``mask``, in declaration order."""
         return tuple(s for i, s in enumerate(self.states) if mask >> i & 1)
 
     def successors(self, state: str, action: str) -> frozenset[str]:
         """All ``action``-successors of ``state``."""
         if not _declared(action, self._moves):
             raise self._unknown_action((action,))
-        return frozenset(self._names(self._moves[action][1][self.index(state)]))
+        return frozenset(self._names(self._columns[self.index(state)] >> self._moves[action][1]))
 
     def labelled(self, letter: str) -> frozenset[str]:
         """States whose valuation contains ``letter``; none for an unhashable one."""
@@ -368,8 +366,8 @@ def format_model(model: Model) -> str:
         lines.append(f"state {sid} [{props}]")
     for a in model.actions:
         lines.append(f"action {_check_id(a, 'action')}")
-    for a, (_, succ) in model._moves.items():
-        for src, row in zip(model.states, succ):
-            for dst in model._names(row):
+    for a, (_, offset) in model._moves.items():
+        for src, column in zip(model.states, model._columns):
+            for dst in model._names(column >> offset):
                 lines.append(f"trans {src} {a} {dst}")
     return "\n".join(lines) + "\n"

@@ -33,30 +33,26 @@ terminates; BFS returns a shortest witness, and expanding actions in
 declaration order makes it the lexicographically least shortest one (in
 action-index order).
 
-find_plan walks a belief's members once for all actions.  State *s*'s
-*column* holds its successor mask under the *i*-th action at bit offset
-``i * |S|``, so the OR of the members' columns holds every action's
-image side by side, and the *i*-th image is ``images >> i * |S|`` cut to
-``|S|`` bits.  The columns are built once per model, by the first search
-that expands a belief (a search that stops at its root builds none), and
-published in one write to ``Model._columns``: ``|S|`` ints of
-``|A| * |S|`` bits each.  Two threads that race build equal columns, so
-either write may win.
+Both functions read the model's one successor table, built at
+construction.  State *s*'s *column* holds its successor mask under the
+*i*-th action at bit offset ``i * |S|``, so the OR of a set's columns
+holds every action's image side by side, and the *i*-th image is
+``images >> i * |S|`` cut to ``|S|`` bits.  So find_plan walks a
+belief's members once for all actions.
 
-The two functions deliberately share no traversal code: verify_plan is
-the independent oracle for find_plan.  verify_plan keeps two memos on the
-model, so that the work that repeats across its calls runs once per
-model.  ``Model._images`` holds each action's image of a reached set, so
-a step it has walked before is one dict lookup.  ``Model._set_masks``
-maps a start or goal set to its mask, for arguments whose type is
-exactly ``frozenset`` (any other iterable, a frozenset subclass
-included, is read afresh on each call): at most ``2^|S|`` entries, one
-per subset, and a set with an unknown state is never stored.  Writes to
-both are idempotent, so two threads that miss store equal values; both
-are freed with the model, and the set memo keeps the frozensets it holds
-alive that long.  Each function keeps its own data: the memos are
-verify_plan's alone, find_plan neither reads nor writes them, and
-verify_plan never reads the columns.
+The two functions deliberately share no traversal code, only the table:
+verify_plan is the independent oracle for find_plan.  verify_plan keeps
+two memos on the model, so that the work that repeats across its calls
+runs once per model.  ``Model._images`` holds each action's image of a
+reached set, so a step it has walked before is one dict lookup.
+``Model._set_masks`` maps a start or goal set to its mask, for arguments
+whose type is exactly ``frozenset`` (any other iterable, a frozenset
+subclass included, is read afresh on each call): at most ``2^|S|``
+entries, one per subset, and a set with an unknown state is never
+stored.  Writes to both are idempotent, so two threads that miss store
+equal values; both are freed with the model, and the set memo keeps the
+frozensets it holds alive that long.  The memos are verify_plan's alone:
+find_plan neither reads nor writes them.
 """
 
 from __future__ import annotations
@@ -164,20 +160,11 @@ def verify_plan(
             image = memo.get(reached, -2)
             if image < 0:
                 k = len(steps) - length_hint(ahead) - 1  # ahead holds the later steps
-                can, succ = model._moves[steps[k]]
+                cannot, offset = model._moves[steps[k]]
                 if image == -2:  # a miss: compute the image and store it
-                    if reached & ~can:
-                        image = -1
-                    else:
-                        image = 0
-                        walk = reached
-                        while walk:
-                            low = walk & -walk
-                            image |= succ[low.bit_length() - 1]
-                            walk ^= low
-                    memo[reached] = image
+                    image = memo[reached] = -1 if reached & cannot else _image(model, reached, offset)
                 if image < 0:
-                    stuck = reached & ~can
+                    stuck = reached & cannot
                     state = states[(stuck & -stuck).bit_length() - 1]
                     start = states[first.bit_length() - 1]
                     return tuple.__new__(PlanCheck, (False, "stuck", start, k, steps[k], state))
@@ -188,6 +175,19 @@ def verify_plan(
             start = states[first.bit_length() - 1]
             return tuple.__new__(PlanCheck, (False, "endpoint", start, None, None, state))
     return _PLAN_OK
+
+
+def _image(model: Model, reached: int, offset: int) -> int:
+    """verify_plan's image of ``reached`` under the action at bit ``offset``
+    of the columns.  It runs only on a memo miss, so it is kept out of the
+    step loop, whose common case, a memo hit, stays short."""
+    images = 0
+    columns = model._columns
+    while reached:
+        low = reached & -reached
+        images |= columns[low.bit_length() - 1]
+        reached ^= low
+    return images >> offset & (1 << len(model.states)) - 1
 
 
 def find_plan(model: Model, starts: Iterable[str], goals: Iterable[str]) -> PlanResult:
@@ -207,7 +207,8 @@ def _search(model: Model, root: int, goal: int) -> PlanResult:
     outside_goal = ~goal
     if not root & outside_goal:
         return PlanResult(True, (), 1)
-    columns, moves = model._columns or _build_columns(model)
+    # Walked once per belief, and a tuple iterates faster than a dict view.
+    columns, moves = model._columns, tuple(model._moves.items())
     full = (1 << len(model.states)) - 1
 
     queue: deque[tuple[int, Plan]] = deque([(root, ())])
@@ -224,7 +225,7 @@ def _search(model: Model, root: int, goal: int) -> PlanResult:
             low = rest & -rest
             images |= columns[low.bit_length() - 1]
             rest ^= low
-        for action, stuck, offset in moves:
+        for action, (stuck, offset) in moves:
             if belief & stuck:
                 continue
             image = images >> offset & full
@@ -232,21 +233,3 @@ def _search(model: Model, root: int, goal: int) -> PlanResult:
                 visited.add(image)
                 queue.append((image, path + (action,)))
     return PlanResult(False, None, explored)
-
-
-def _build_columns(model: Model) -> tuple[tuple[int, ...], tuple[tuple[str, int, int], ...]]:
-    """Build and publish ``model._columns``: state *s*'s column holds its
-    successor mask under the *i*-th action at bit offset ``i * |S|``, and
-    each action is listed as ``(name, ~can, offset)``."""
-    n = len(model.states)
-    columns = [0] * n
-    moves = []
-    for i, (action, (can, succ)) in enumerate(model._moves.items()):
-        offset = i * n
-        for s, row in enumerate(succ):
-            if row:
-                columns[s] |= row << offset
-        moves.append((action, ~can, offset))
-    built = (tuple(columns), tuple(moves))
-    object.__setattr__(model, "_columns", built)
-    return built

@@ -135,6 +135,9 @@ class AxiomInst:
     def __post_init__(self) -> None:
         object.__setattr__(self, "binding", dict(self.binding))
 
+    def __hash__(self) -> int:
+        return hash((self.name, frozenset(self.binding.items())))
+
 
 @dataclass(frozen=True)
 class MP:

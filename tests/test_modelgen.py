@@ -24,7 +24,6 @@ from knowhow import (
     exhaustive_size,
     ext,
     find_countermodel,
-    find_plan,
     format_model,
     generate,
     holds,
@@ -233,7 +232,7 @@ class TestStreamPins:
                 assert model._letters == checked._letters and model._index == checked._index
 
     def test_consecutive_exhaustive_models_keep_their_own_memo(self):
-        # Models that differ only in their valuation share edge rows, but
+        # Models that differ only in their valuation share their columns, but
         # verify_plan on one must leave the next one's memo empty.
         cfg = GenConfig(max_states=2, max_actions=2, letters=("p", "q"), mode="exhaustive")
         models = list(generate(cfg, 16 * 40))
@@ -245,18 +244,6 @@ class TestStreamPins:
             used += any(model._images.values())
             assert not any(following._images.values())
         assert used
-
-    def test_consecutive_exhaustive_models_build_their_own_columns(self):
-        # find_plan on one model must leave the next one without columns.
-        cfg = GenConfig(max_states=2, max_actions=2, letters=("p", "q"), mode="exhaustive")
-        models = list(generate(cfg, 16 * 40))
-        built = 0
-        for model, following in zip(models, models[1:]):
-            assert model._columns is None
-            find_plan(model, model.states, ())
-            built += model._columns is not None
-            assert following._columns is None
-        assert built == len(models) - 1
 
 
 class TestFindCountermodel:

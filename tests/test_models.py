@@ -255,14 +255,16 @@ class TestModelValidation:
         }
 
     def test_views_equal_the_input(self):
-        # transitions and valuation are computed from the masks; they must
-        # give back exactly the edge and letter sets the constructor read.
+        # transitions, successors and valuation are computed from the masks;
+        # they must give back exactly the edge and letter sets the
+        # constructor read, also where an action's successor masks sit more
+        # than a byte into each state's column.
         rng = random.Random(11)
         for _ in range(200):
-            states = tuple(f"s{i}" for i in range(rng.randint(1, 6)))
+            states = tuple(f"s{i}" for i in range(rng.randint(1, 24)))
             actions = tuple("abc"[: rng.randint(0, 3)])
             transitions = {
-                a: [(rng.choice(states), rng.choice(states)) for _ in range(rng.randint(0, 12))]
+                a: [(rng.choice(states), rng.choice(states)) for _ in range(rng.randint(0, 3 * len(states)))]
                 for a in actions
             }
             valuation = {
@@ -273,6 +275,10 @@ class TestModelValidation:
             model = Model(states, actions, transitions, valuation)
             assert model.transitions == {a: frozenset(transitions[a]) for a in actions}
             assert model.valuation == {s: frozenset(valuation.get(s, ())) for s in states}
+            for a in actions:
+                for s in states:
+                    assert model.successors(s, a) == {t for u, t in transitions[a] if u == s}
+            assert parse_model(format_model(model)) == model
 
     def test_repr_counts_edges(self, ex1, ex2_left, ex2_right):
         assert repr(ex1) == "<Model |S|=8 |A|=2 edges=7>"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import knowhow
@@ -44,3 +45,26 @@ def test_unchecked_constructor_only_in_models_and_modelgen():
     source = Path(knowhow.__file__).parent
     users = sorted(path.name for path in source.glob("*.py") if "_of_masks" in path.read_text(encoding="utf-8"))
     assert users == ["modelgen.py", "models.py"]
+
+
+def test_only_models_writes_a_models_slots():
+    # After construction only verify_plan's two memo dicts change, so no
+    # other module may write a Model's slots: elsewhere ``object.__setattr__``
+    # is only called on ``self``, in a method of a class that is not a Model.
+    source = Path(knowhow.__file__).parent
+    for path in source.glob("*.py"):
+        if path.name == "models.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = [
+            call.func
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and not any("Model" in ast.unparse(base) for base in cls.bases)
+            for method in cls.body
+            if isinstance(method, ast.FunctionDef)
+            for call in ast.walk(method)
+            if isinstance(call, ast.Call) and call.args and ast.unparse(call.args[0]) == "self"
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__":
+                assert any(node is func for func in allowed), f"{path.name}:{node.lineno}"

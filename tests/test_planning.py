@@ -20,8 +20,6 @@ from knowhow import (
     verify_plan,
 )
 
-from knowhow.planning import _build_columns
-
 from helpers import plan_exists_bruteforce, plan_exists_pure, random_state_sets
 
 
@@ -436,12 +434,11 @@ def _memo_models() -> list[Model]:
 
 
 class TestImageMemo:
-    """``verify_plan`` memoizes action images on the model, and
-    ``find_plan`` keeps its columns there.  The memo must never change an
-    answer, must stay within ``2^|S|`` entries per action, must be
-    invisible from outside, and must never be read by the search; the
-    columns must be invisible too, equal whichever thread builds them,
-    and never read by ``verify_plan``."""
+    """``verify_plan`` memoizes action images on the model.  The memo
+    must never change an answer, must stay within ``2^|S|`` entries per
+    action, must be invisible from outside, and must never be read by the
+    search; four threads sharing a model, searching or verifying, must
+    get the serial answers."""
 
     def test_warm_memo_gives_the_same_answers(self):
         rng = random.Random(12)
@@ -482,25 +479,6 @@ class TestImageMemo:
                     )
             assert misread  # the poison sits where verify_plan reads
 
-    def test_verify_plan_never_reads_the_columns(self):
-        rng = random.Random(14)
-        for model in _memo_models():
-            poisoned = _fresh(model)
-            # Every state steps to every state under every action, from anywhere.
-            wide = (1 << len(model.states) * len(model.actions)) - 1
-            moves = tuple((a, 0, i * len(model.states)) for i, a in enumerate(model.actions))
-            object.__setattr__(poisoned, "_columns", ((wide,) * len(model.states), moves))
-            plans = [p for n in range(4) for p in product(model.actions, repeat=n)]
-            misread = 0
-            for _ in range(8):
-                starts, goals = random_state_sets(model, rng)
-                for plan in plans:
-                    assert verify_plan(poisoned, starts, goals, plan) == verify_plan(
-                        model, starts, goals, plan
-                    )
-                misread += find_plan(poisoned, starts, goals) != find_plan(model, starts, goals)
-            assert misread  # the poison sits where find_plan reads
-
     def test_memo_is_invisible(self):
         rng = random.Random(15)
         for model in _memo_models():
@@ -511,20 +489,6 @@ class TestImageMemo:
                 verify_plan(used, starts, goals, plan)
             assert any(used._images.values())
             fresh = _fresh(model)
-            assert used == fresh and hash(used) == hash(fresh)
-            assert repr(used) == repr(fresh)
-            assert used.transitions == fresh.transitions
-            assert used.valuation == fresh.valuation
-            assert format_model(used) == format_model(fresh)
-
-    def test_columns_are_invisible(self):
-        rng = random.Random(17)
-        for model in _memo_models():
-            used = _fresh(model)
-            while used._columns is None:
-                find_plan(used, *random_state_sets(used, rng))
-            fresh = _fresh(model)
-            assert fresh._columns is None
             assert used == fresh and hash(used) == hash(fresh)
             assert repr(used) == repr(fresh)
             assert used.transitions == fresh.transitions
@@ -548,11 +512,8 @@ class TestImageMemo:
         rng = random.Random(18)
         models = _memo_models() + [_random_model(rng, (9, 24)) for _ in range(10)]
         cases = [(model, *random_state_sets(model, rng)) for model in models for _ in range(20)]
-        # Fresh copies again: the threads race to build each model's columns.
         expected = [find_plan(_fresh(model), starts, goals) for model, starts, goals in cases]
         assert all(out == expected for out in _in_four_threads(find_plan, cases))
-        # Whichever thread published a model's columns, they are a fresh build's.
-        assert all(model._columns == _build_columns(_fresh(model)) for model in models)
 
 
 class _Names(frozenset):

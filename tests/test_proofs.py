@@ -15,6 +15,7 @@ from knowhow import (
     MP,
     NecU,
     Proof,
+    ProofDocument,
     ProofFormatError,
     ProofLine,
     Sub,
@@ -134,6 +135,21 @@ class TestAxiomInstantiation:
 
 
 class TestCheckProof:
+    def test_bundled_theorems_hash_by_value(self):
+        # Frozen records hash, also when a line's justification binds
+        # letters in a dict; equal records built apart hash alike.
+        entries, again = theorem_db(), theorem_db.__wrapped__()  # the second bypasses the cache
+        assert any(isinstance(line.justification, AxiomInst) for e in entries for line in e.proof.lines)
+        for entry, twin in zip(entries, again, strict=True):
+            assert entry == twin and entry is not twin
+            assert hash(entry) == hash(twin)
+            document = parse_proof(proof_file_text(entry.proof.lines))
+            assert document == ProofDocument((), entry.proof)
+            assert hash(document) == hash(ProofDocument((), entry.proof))
+            assert {line.justification for line in entry.proof.lines} == {
+                line.justification for line in twin.proof.lines
+            }
+
     def test_tri_fixture_accepted(self):
         entry = next(e for e in theorem_db() if e.name == "TRI")
         verdict = check_proof(entry.proof)
