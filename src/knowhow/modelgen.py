@@ -14,7 +14,8 @@ configuration: identical configurations yield identical streams.  Both
 modes build the masks that :class:`~knowhow.models.Model` stores, in that
 order, for its unchecked constructor: one column per state, holding its
 successor masks under all actions.  Exhaustive mode shares one columns
-tuple across an edge bitmask's valuations, but never a memo.
+tuple, and the per-action moves read from it, across an edge bitmask's
+valuations, but never a memo.
 
 Bounded countermodel search is enumerate-then-check: it is a falsifier
 for non-valid formulas, not a decision procedure for validity.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterator, Optional
 
-from .models import Model
+from .models import Model, _moves_of
 from .proofs import AXIOM_SCHEMAS, theorem_db
 from .semantics import Program, _compile, _Decisions, _run, _slices
 from .syntax import _ATOM_NAME, Formula, atom_names, parse_formula
@@ -136,9 +137,10 @@ def _exhaustive_models(cfg: GenConfig) -> Iterator[Model]:
         columns = tuple(
             [sum((edges >> (offset + i) * n & field) << offset for offset in offsets) for i in range(n)]
         )
+        moves = _moves_of(actions, columns)
         for valuation in range(1 << len(cfg.letters) * n):
             letters = {x: mask for j, x in enumerate(cfg.letters) if (mask := valuation >> j * n & field)}
-            yield Model._of_masks(states, actions, index, columns, letters)
+            yield Model._of_masks(states, actions, index, columns, letters, moves)
 
 
 def exhaustive_size(cfg: GenConfig) -> int:

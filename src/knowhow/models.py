@@ -48,6 +48,9 @@ Plan = tuple[str, ...]
 
 _ID = re.compile(r"[A-Za-z0-9_]+\Z")
 _STATE_LINE = re.compile(r"state\s+(\S+)\s+\[\s*([^\[\]]*?)\s*\]\s*\Z")
+# A whole well-formed trans line, comment included.  Regex ``\s`` is
+# ``str.isspace``, the whitespace that ``str.split`` and ``str.strip`` use.
+_TRANS_LINE = re.compile(r"\s*trans\s+([A-Za-z0-9_]+)\s+([A-Za-z0-9_]+)\s+([A-Za-z0-9_]+)\s*(?:#.*)?\Z", re.S)
 
 
 class ModelFormatError(ValueError):
@@ -76,7 +79,9 @@ class Model:
     ``frozenset`` it was passed as a start or goal set.  ``_mask``
     resolves every state name a caller passes, ``_unknown_action`` names
     the first unknown action of a plan; an unhashable name is never known.
-    ``__init__`` is the one validating path; ``_of_masks``, called only by
+    ``__init__`` validates what a Python caller passes, and
+    :func:`parse_model` validates a model file line by line.
+    ``_of_masks``, called only by :func:`parse_model` and
     :mod:`~knowhow.modelgen`, takes the masks as stored and checks nothing.
     """
 
@@ -122,27 +127,25 @@ class Model:
                     f"valuation of state {s!r} is not a collection of hashable letters: "
                     f"{valuation[s]!r}"
                 ) from None
-        self._store(states, actions, index, tuple(columns), letters)
+        columns = tuple(columns)
+        self._store(states, actions, index, columns, letters, _moves_of(actions, columns))
 
     @classmethod
-    def _of_masks(cls, states: tuple, actions: tuple, index: dict, columns: tuple, letters: dict) -> Model:
-        """The model of ``columns`` (each state's successor masks) and nonzero ``letters``, unchecked."""
-        return object.__new__(cls)._store(states, actions, index, columns, letters)
+    def _of_masks(
+        cls, states: tuple, actions: tuple, index: dict, columns: tuple, letters: dict, moves: dict | None = None
+    ) -> Model:
+        """The model of ``columns`` (each state's successor masks) and nonzero
+        ``letters``, unchecked.  ``moves``, if given, is ``_moves_of(actions,
+        columns)``, which models with the same columns may share."""
+        if moves is None:
+            moves = _moves_of(actions, columns)
+        return object.__new__(cls)._store(states, actions, index, columns, letters, moves)
 
-    def _store(self, states: tuple, actions: tuple, index: dict, columns: tuple, letters: dict) -> Model:
+    def _store(
+        self, states: tuple, actions: tuple, index: dict, columns: tuple, letters: dict, moves: dict
+    ) -> Model:
         """The one storing step: set the slots, with fresh ``_images`` and
         ``_set_masks`` memos."""
-        n = len(states)
-        moves: dict[str, tuple[int, int]] = {}
-        offset, field = 0, (1 << n) - 1  # an action's place in a column
-        for a in actions:
-            can = 0
-            for i, column in enumerate(columns):
-                if column & field:
-                    can |= 1 << i
-            moves[a] = (~can, offset)
-            offset += n
-            field <<= n
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "_index", index)
@@ -235,6 +238,23 @@ class Model:
         return frozenset(self._names(self._letters[letter]))
 
 
+def _moves_of(actions: tuple, columns: tuple) -> dict[str, tuple[int, int]]:
+    """Each action's ``_moves`` entry: ``~can``, the complement of the
+    states with an edge labelled by it, and its bit offset in a column."""
+    n = len(columns)
+    moves: dict[str, tuple[int, int]] = {}
+    offset, field = 0, (1 << n) - 1  # an action's place in a column
+    for a in actions:
+        can = 0
+        for i, column in enumerate(columns):
+            if column & field:
+                can |= 1 << i
+        moves[a] = (~can, offset)
+        offset += n
+        field <<= n
+    return moves
+
+
 def _is_pair(edge: object) -> bool:
     """The one rule for an edge: a ``tuple`` of length 2."""
     return isinstance(edge, tuple) and len(edge) == 2
@@ -306,12 +326,25 @@ def _check_letter(token: str, line: int | None = None) -> str:
 
 
 def parse_model(text: str) -> Model:
-    """Parse the line-based model format into a :class:`Model`."""
-    valuation: dict[str, list[str]] = {}  # in declaration order
-    transitions: dict[str, set[tuple[str, str]]] = {}  # in order of first mention
+    """Parse the line-based model format into a :class:`Model`.
+
+    Each line is checked once, and the masks are built from the checked
+    lines, so the model is stored unchecked.  A well-formed ``trans`` line
+    is one match of :data:`_TRANS_LINE`; any other line is split into
+    tokens, and the first bad token names the error.  An edge's states are
+    looked up after the last line, since they may be declared later."""
+    index: dict[str, int] = {}  # each state's position, in declaration order
+    letters: dict[str, int] = {}
+    actions: dict[str, None] = {}  # in order of first mention
     edges: list[tuple[int, str, str, str]] = []  # line, src, action, dst
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        edge = _TRANS_LINE.match(raw)
+        if edge is not None:
+            src, act, dst = edge.groups()
+            actions.setdefault(act)
+            edges.append((line_no, src, act, dst))
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -321,14 +354,18 @@ def parse_model(text: str) -> Model:
             if not m:
                 raise ModelFormatError("malformed state line (want: state <id> [<props>])", line_no)
             sid = _check_id(m.group(1), "state", line_no)
-            if sid in valuation:
+            if sid in index:
                 raise ModelFormatError(f"duplicate state id {sid!r}", line_no)
-            valuation[sid] = [_check_letter(p, line_no) for p in m.group(2).split()]
+            bit = 1 << len(index)
+            index[sid] = len(index)
+            for p in m.group(2).split():
+                _check_letter(p, line_no)
+                letters[p] = letters.get(p, 0) | bit
         elif head == "action":
             parts = line.split()
             if len(parts) != 2:
                 raise ModelFormatError("malformed action line (want: action <name>)", line_no)
-            transitions.setdefault(_check_id(parts[1], "action", line_no), set())
+            actions.setdefault(_check_id(parts[1], "action", line_no))
         elif head == "trans":
             parts = line.split()
             if len(parts) != 4:
@@ -336,19 +373,23 @@ def parse_model(text: str) -> Model:
             _, src, act, dst = parts
             _check_id(src, "state", line_no)
             _check_id(dst, "state", line_no)
-            transitions.setdefault(_check_id(act, "action", line_no), set())
+            actions.setdefault(_check_id(act, "action", line_no))
             edges.append((line_no, src, act, dst))
         else:
             raise ModelFormatError(f"unknown directive {head!r}", line_no)
 
-    if not valuation:
+    if not index:
         raise ModelFormatError("model declares no states")
+    n = len(index)
+    offsets = {a: k * n for k, a in enumerate(actions)}
+    columns = [0] * n
     for line_no, src, act, dst in edges:
-        for endpoint in (src, dst):
-            if endpoint not in valuation:
-                raise ModelFormatError(f"transition references undeclared state {endpoint!r}", line_no)
-        transitions[act].add((src, dst))
-    return Model(tuple(valuation), tuple(transitions), transitions, valuation)
+        try:
+            columns[index[src]] |= 1 << index[dst] + offsets[act]
+        except KeyError:
+            endpoint = dst if src in index else src
+            raise ModelFormatError(f"transition references undeclared state {endpoint!r}", line_no) from None
+    return Model._of_masks(tuple(index), tuple(actions), index, tuple(columns), letters)
 
 
 def format_model(model: Model) -> str:

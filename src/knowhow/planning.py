@@ -37,11 +37,19 @@ Both functions read the model's one successor table, built at
 construction.  State *s*'s *column* holds its successor mask under the
 *i*-th action at bit offset ``i * |S|``, so the OR of a set's columns
 holds every action's image side by side, and the *i*-th image is
-``images >> i * |S|`` cut to ``|S|`` bits.  So find_plan walks a
-belief's members once for all actions.
+``images >> i * |S|`` cut to ``|S|`` bits.  find_plan reads that OR from
+an *image table*, built from the columns once per search and only when
+the start set is not already a goal: for each group of four consecutive
+states, the OR for each subset of the group.  A belief costs one lookup
+per nonzero group, found from its highest set bit down, so never more
+lookups than members, and one walk serves all actions.  The search keeps
+only the belief each one was first reached from, and rebuilds the
+witness once, on success: each step is the first action, in declaration
+order, that takes the parent to the child.
 
-The two functions deliberately share no traversal code, only the table:
-verify_plan is the independent oracle for find_plan.  verify_plan keeps
+The two functions deliberately share no traversal code, only the
+columns: verify_plan never reads the image table, so it stays the
+independent oracle for find_plan.  verify_plan keeps
 two memos on the model, so that the work that repeats across its calls
 runs once per model.  ``Model._images`` holds each action's image of a
 reached set, so a step it has walked before is one dict lookup.
@@ -198,38 +206,92 @@ def find_plan(model: Model, starts: Iterable[str], goals: Iterable[str]) -> Plan
     plan, ties broken by action declaration order.
     """
     root = model._mask(starts, "start set mentions ")
-    return _search(model, root, model._mask(goals, "goal set mentions "))
+    goal = model._mask(goals, "goal set mentions ")
+    if not root & ~goal:  # _search's first check, made here so that no table is built
+        return PlanResult(True, (), 1)
+    return _search(model, _image_table(model), root, goal)
 
 
-def _search(model: Model, root: int, goal: int) -> PlanResult:
+def _image_table(model: Model) -> list[Optional[list[int]]]:
+    """The images of every set of up to four consecutive states.  Entry
+    ``4 * c`` lists, for each 4-bit value ``v``, the OR of the columns of
+    the states ``4 * c + b`` for the set bits ``b`` of ``v``; in the last
+    group, a state that does not exist has an empty column.  The entries
+    between are ``None``, so a group is found by its first state's bit
+    offset."""
+    columns = model._columns
+    padded = columns + (0, 0, 0)
+    table: list[Optional[list[int]]] = []
+    for first in range(0, len(columns), 4):
+        a, b, c, d = padded[first : first + 4]
+        ab, cd = a | b, c | d
+        entries = [0, a, b, ab, c, a | c, b | c, ab | c, d, a | d, b | d, ab | d, cd, a | cd, b | cd, ab | cd]
+        table += (entries, None, None, None)
+    return table
+
+
+def _search(model: Model, table: list, root: int, goal: int) -> PlanResult:
     """:func:`find_plan` on masks: the start mask ``root`` and the goal
-    mask ``goal``."""
+    mask ``goal``, with ``table`` the model's :func:`_image_table`."""
     outside_goal = ~goal
     if not root & outside_goal:
         return PlanResult(True, (), 1)
     # Walked once per belief, and a tuple iterates faster than a dict view.
-    columns, moves = model._columns, tuple(model._moves.items())
+    moves = tuple(model._moves.values())
     full = (1 << len(model.states)) - 1
 
-    queue: deque[tuple[int, Plan]] = deque([(root, ())])
-    visited = {root}
+    queue: deque[int] = deque([root])
+    parents: dict[int, Optional[int]] = {root: None}  # the belief each was first reached from
     explored = 0
     while queue:
-        belief, path = queue.popleft()
+        belief = queue.popleft()
         explored += 1
         if not belief & outside_goal:
-            return PlanResult(True, path, explored)
+            return PlanResult(True, _witness(model, table, parents, belief), explored)
+        # _images(table, belief), inlined: a call per belief costs about 5% of a search.
         images = 0
         rest = belief
         while rest:
-            low = rest & -rest
-            images |= columns[low.bit_length() - 1]
-            rest ^= low
-        for action, (stuck, offset) in moves:
+            shift = rest.bit_length() - 1 & -4
+            nibble = rest >> shift
+            images |= table[shift][nibble]
+            rest ^= nibble << shift
+        for stuck, offset in moves:
             if belief & stuck:
                 continue
             image = images >> offset & full
-            if image not in visited:
-                visited.add(image)
-                queue.append((image, path + (action,)))
+            if image not in parents:
+                parents[image] = belief
+                queue.append(image)
     return PlanResult(False, None, explored)
+
+
+def _images(table: list, belief: int) -> int:
+    """The OR of the columns of the members of ``belief``: one table entry
+    per nonzero group of four states, highest first, so never more
+    lookups than members."""
+    images = 0
+    while belief:
+        shift = belief.bit_length() - 1 & -4
+        nibble = belief >> shift
+        images |= table[shift][nibble]
+        belief ^= nibble << shift
+    return images
+
+
+def _witness(model: Model, table: list, parents: dict[int, Optional[int]], belief: int) -> Plan:
+    """The plan that reached ``belief``.  Each step is the first action, in
+    declaration order, that takes the belief's parent to it, never stuck:
+    the search expands actions in that order, so that action reached it
+    first."""
+    moves = model._moves.items()
+    full = (1 << len(model.states)) - 1
+    plan = []
+    while (parent := parents[belief]) is not None:
+        images = _images(table, parent)
+        for action, (stuck, offset) in moves:
+            if not parent & stuck and images >> offset & full == belief:
+                break
+        plan.append(action)
+        belief = parent
+    return tuple(reversed(plan))

@@ -28,6 +28,9 @@ slices and looks every pair ``(cond mask, goal mask)`` up in one C-level
 ``map`` over the caller's decision memo, a ``dict`` whose misses run the
 plan search and store its decision.  So each distinct pair costs one plan
 search however many Kh nodes, slices and programs share it.  The memo
+builds the model's image table (see :mod:`~knowhow.planning`) on its
+first miss and gives it to every search it runs, so a formula with no
+``Kh`` builds none, and the audit builds one per model.  The memo
 belongs to one model and one caller, never to the module: decisions are
 never cached across calls, so concurrent evaluations over the same
 immutable model are safe.
@@ -38,7 +41,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .models import Model
-from .planning import _search
+from .planning import _image_table, _search
 from .syntax import And, Atom, Formula, Kh, Not, _subterms, normalize
 
 __all__ = ["ext", "holds", "check_U"]
@@ -57,15 +60,18 @@ class _Decisions(dict):
     every state or none.  A missing pair runs the plan search and is
     stored, so a lookup never misses twice."""
 
-    __slots__ = ("model", "everything")
+    __slots__ = ("model", "everything", "table")
 
     def __init__(self, model: Model) -> None:
         self.model = model
         self.everything = (1 << len(model.states)) - 1
+        self.table: list | None = None  # the model's image table, built on the first miss
 
     def __missing__(self, pair: tuple[int, int]) -> int:
+        if self.table is None:
+            self.table = _image_table(self.model)
         # _search is looked up here, at call time, so that it can be wrapped.
-        mask = self[pair] = self.everything if _search(self.model, *pair).decision else 0
+        mask = self[pair] = self.everything if _search(self.model, self.table, *pair).decision else 0
         return mask
 
 

@@ -227,3 +227,78 @@ def proof_file_text(lines: tuple[ProofLine, ...], hypotheses: tuple[Formula, ...
         for line in lines
     ]
     return "\n".join(out) + "\n"
+
+
+# Gaps a model file may hold between tokens.  The spaces are whitespace to
+# ``str.isspace``.  Of the breaks, all but the last also end a line for
+# ``str.splitlines``, and ``\u200b`` is not whitespace at all.
+_MODEL_SPACES = (" ", "  ", "\t", " \t ", "\x1f", "\xa0", "\u2003", "\u3000")
+_MODEL_BREAKS = ("\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u200b")
+_MODEL_IDS = ("s", "s1", "s2", "t", "x_9", "A", "0", "_", "s10", "Zz")
+_MODEL_BAD_IDS = ("", "s-1", "s.1", "é", "s1é", "\u0661", "ß", "[", "]", "[]", "s[1]", "a#b", "s\u200b1")
+_MODEL_LETTERS = ("p", "q", "r", "p_1", "ab", "top", "bot", "P", "Kh", "1p", "p-q", "é", "p#q", "pTop")
+_MODEL_DIRECTIVES = ("states", "Trans", "transition", "STATE", "act", "actions", "trans:", "#state", "st")
+
+
+def mutated_model_text(rng: random.Random) -> str:
+    """A seeded model file, well formed or not: a small model whose lines
+    are shuffled, repeated, commented and re-spaced, with some tokens
+    swapped for bad ids, letters or directives, or lines of the wrong
+    arity."""
+    states = rng.sample(_MODEL_IDS, rng.randint(1, 5))
+    actions = rng.sample(("a", "b", "c", "go", "A_1"), rng.randint(0, 3))
+    lines = [["state", s, "[", *rng.sample(("p", "q", "r", "p_1"), rng.randint(0, 3)), "]"] for s in states]
+    lines += [["action", a] for a in actions if rng.random() < 0.4]
+    lines += [
+        ["trans", rng.choice(states), a, rng.choice(states)]
+        for a in actions
+        for _ in range(rng.randint(0, 2 * len(states)))
+    ]
+    for _ in range(rng.choice((0, 0, 0, 1, 1, 2, 3))):
+        line = rng.choice(lines)
+        kind = rng.randrange(10)
+        if kind == 0 and len(line) > 1:  # a bad id
+            line[rng.randrange(1, len(line))] = rng.choice(_MODEL_BAD_IDS)
+        elif kind == 1 and line[0] == "state":  # a letter the format cannot hold
+            line.insert(rng.randint(2, len(line)), rng.choice(_MODEL_LETTERS))
+        elif kind == 2:  # an unknown directive
+            line[0] = rng.choice(_MODEL_DIRECTIVES)
+        elif kind == 3 and len(line) > 1:  # too few tokens
+            del line[rng.randrange(1, len(line))]
+        elif kind == 4:  # too many tokens
+            line.insert(rng.randint(1, len(line)), rng.choice(_MODEL_IDS))
+        elif kind == 5 and line[0] == "trans" and len(line) == 4:  # an undeclared state
+            line[rng.choice((1, 3))] = rng.choice(_MODEL_IDS)
+        elif kind == 6 and line[0] == "state":  # a repeated or missing bracket
+            line.insert(rng.randint(2, len(line)), rng.choice("[]"))
+            bracket = rng.choice("[]")
+            if rng.random() < 0.5 and bracket in line:
+                line.remove(bracket)
+        elif kind == 7:  # a repeated line, states included
+            lines.append(list(line))
+        elif kind == 8:
+            lines.clear()  # no states at all
+            lines += [["trans", "s", "a", "s"] for _ in range(rng.randint(0, 2))]
+            break
+    for _ in range(rng.choice((0, 0, 1, 3))):  # repeated trans lines
+        trans = [line for line in lines if line[0] == "trans"]
+        if trans:
+            lines.insert(rng.randint(0, len(lines)), list(rng.choice(trans)))
+    if rng.random() < 0.3:  # trans lines before the states they name
+        rng.shuffle(lines)
+    out = []
+    for line in lines:
+        text = rng.choice(("", "", "", " ", "\t", "\u3000")) + line[0]
+        for before, token in zip(line, line[1:]):
+            if (before == "[" or token == "]") and rng.random() < 0.6 or rng.random() < 0.01:
+                text += token  # as in [p q], or glued where a gap is needed
+            else:
+                gap = rng.choice(_MODEL_BREAKS) if rng.random() < 0.01 else " "
+                text += (rng.choice(_MODEL_SPACES) if rng.random() < 0.15 else gap) + token
+        if rng.random() < 0.15:
+            text += rng.choice(("#", " # note", "\t#trans s a s", "# state x []", "#" + rng.choice(_MODEL_BREAKS)))
+        text += rng.choice(("", "", "", " ", "\t", "\x1f", "\u3000"))
+        out.append(text)
+        if rng.random() < 0.1:
+            out.append(rng.choice(("", "#", "  # comment", "\t", "\u3000", "# trans a b c")))
+    return rng.choice(("\n", "\n", "\r\n", "\x1e")).join(out) + rng.choice(("\n", "", "\n\n"))

@@ -575,9 +575,9 @@ class TestAuditSlices:
         searches = []
         search = semantics._search
 
-        def recording(model, root, goal):
+        def recording(model, table, root, goal):
             searches.append((root, goal))
-            return search(model, root, goal)
+            return search(model, table, root, goal)
 
         monkeypatch.setattr(semantics, "_search", recording)
         (cfg,) = self._configs(states, ("p", "q", "r", "o"), 1)

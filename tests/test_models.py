@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,8 @@ from knowhow import (
     parse_model,
     verify_plan,
 )
+
+from helpers import mutated_model_text
 
 
 class TestParseModel:
@@ -103,6 +107,36 @@ class TestParseModel:
             parse_model("state s [Kh]\n")
         with pytest.raises(ModelFormatError, match="bad proposition letter"):
             parse_model("state s [P]\n")
+
+
+    def test_trans_line_regex_space_is_str_space(self):
+        # A well-formed trans line is one regex match, so regex \s must be
+        # the whitespace that str.split and str.strip use for other lines.
+        space = re.compile(r"\s")
+        assert [c for c in map(chr, range(sys.maxunicode + 1)) if bool(space.match(c)) != c.isspace()] == []
+
+    def test_golden_corpus(self):
+        """24,000 seeded mutated model texts give the pinned outcomes:
+        ``format_model`` of the parsed model, or the error's line and
+        message.  The digest was computed while ``parse_model`` still built
+        its model through ``Model(...)``; each parsed model must still equal
+        the one ``Model(...)`` builds from its views."""
+        rng = random.Random(25)
+        digest = hashlib.sha256()
+        parsed = 0
+        for _ in range(24_000):
+            text = mutated_model_text(rng)
+            try:
+                model = parse_model(text)
+            except ModelFormatError as error:
+                outcome = f"{error.line}: {error}"
+            else:
+                outcome = format_model(model)
+                assert model == Model(model.states, model.actions, model.transitions, model.valuation), text
+                parsed += 1
+            digest.update(outcome.encode() + b"\0")
+        assert parsed == 9_061
+        assert digest.hexdigest() == "d3fb81bfaff95f015298a8c5b3e2257095620b44673dbef75deb0929b1404543"
 
 
 class TestModelValidation:

@@ -9,10 +9,12 @@ from itertools import combinations, islice, product
 
 import pytest
 
+import knowhow.planning as planning
 from knowhow import (
     GenConfig,
     Model,
     PlanCheck,
+    PlanResult,
     find_plan,
     format_model,
     generate,
@@ -252,6 +254,61 @@ def _random_case(rng: random.Random, case: int, sizes: tuple[int, int] = (1, 8))
     else:
         goals = frozenset(s for s in model.states if rng.getrandbits(1))
     return model, starts, goals
+
+
+class _CountingTable(list):
+    """An image table that counts its group lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, shift):
+        self.lookups += 1
+        return super().__getitem__(shift)
+
+
+class TestImageTable:
+    """find_plan reads a belief's images from a table of every set of up
+    to four consecutive states; verify_plan never does."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_lookups_equal_the_or_of_the_members_columns(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            model = _random_model(rng, (n, n))
+            table = _CountingTable(planning._image_table(model))
+            for belief in range(1 << n):
+                expected = 0
+                for i, column in enumerate(model._columns):
+                    if belief >> i & 1:
+                        expected |= column
+                table.lookups = 0
+                assert planning._images(table, belief) == expected
+                assert table.lookups <= belief.bit_count()
+
+    def test_verify_plan_builds_no_table(self, monkeypatch):
+        def refuse(model):
+            raise AssertionError("an image table was built")
+
+        monkeypatch.setattr(planning, "_image_table", refuse)
+        rng = random.Random(9)
+        for case in range(200):
+            model, starts, goals = _random_case(rng, case)
+            for plan in (p for n in range(3) for p in product(model.actions, repeat=n)):
+                assert verify_plan(model, starts, goals, plan) == reference_verify_plan(model, starts, goals, plan)
+        with pytest.raises(AssertionError, match="image table"):
+            find_plan(model, model.states, ())
+
+    def test_a_goal_root_builds_no_table(self, ex1, monkeypatch):
+        monkeypatch.setattr(planning, "_image_table", None)
+        assert find_plan(ex1, ex1.labelled("p"), ex1.labelled("p")) == PlanResult(True, (), 1)
+
+    def test_one_action_cycle_of_1024_singletons(self):
+        # Every belief is one state: one lookup each, and a 1,023-step witness.
+        states = tuple(f"s{i}" for i in range(1024))
+        model = Model(states, ("a",), {"a": set(zip(states, states[1:] + states[:1]))}, {})
+        assert find_plan(model, {"s0"}, {"s1023"}) == PlanResult(True, ("a",) * 1023, 1024)
+        assert find_plan(model, {"s1000"}, {"s3", "s999"}) == PlanResult(True, ("a",) * 27, 28)
+        assert find_plan(model, {"s5"}, ()) == PlanResult(False, None, 1024)
 
 
 class TestAgainstStringSetReference:

@@ -198,14 +198,37 @@ class TestAgainstPointwiseReference:
         searches = []
         search = semantics._search
 
-        def counting(model, root, goal):
+        def counting(model, table, root, goal):
             searches.append((root, goal))
-            return search(model, root, goal)
+            return search(model, table, root, goal)
 
         monkeypatch.setattr(semantics, "_search", counting)
         phi = parse_formula("Kh(p, q) & Kh(p & p, q) & ~~Kh(~~p, q | q) & Kh(p | bot, q & top)")
         assert ext(ex1, phi) == frozenset(ex1.states)
         assert len(searches) == 1
+
+
+class TestImageTable:
+    # A decision memo builds the model's image table on its first miss.
+
+    def test_one_table_per_memo_and_none_without_kh(self, ex1, monkeypatch):
+        built = []
+        build = semantics._image_table
+
+        def counting(model):
+            built.append(model)
+            return build(model)
+
+        monkeypatch.setattr(semantics, "_image_table", counting)
+        assert ext(ex1, parse_formula("(p & ~q) | r -> top")) == frozenset(ex1.states)
+        assert not built
+        ext(ex1, parse_formula("Kh(p, q) & Kh(q, p) | Kh(~p, q | r) & Kh(r, bot)"))
+        assert built == [ex1]
+        decisions = semantics._Decisions(ex1)
+        everything = decisions.everything
+        for pair in product(range(0, everything + 1, 37), repeat=2):
+            decisions[pair]
+        assert built == [ex1, ex1]
 
 
 class TestProgramCache:
