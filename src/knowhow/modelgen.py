@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 from .models import Model, _moves_of
 from .proofs import AXIOM_SCHEMAS, theorem_db
 from .semantics import Program, _compile, _Decisions, _run, _slices
-from .syntax import _ATOM_NAME, Formula, atom_names, parse_formula
+from .syntax import _ATOM_NAME, Formula, Top, atom_names, parse_formula
 
 __all__ = [
     "GenConfig",
@@ -204,46 +204,42 @@ class AuditReport:
 
 
 # The two definitions besides the axioms, stated over schema letters as
-# the schemas are.  A U-ROUTE row pairs phi with U phi, which normalizes to
-# Kh(~phi, bot), and fails when one holds everywhere and the other does
-# not.  KHPLUS-DEF is a validity, like a schema.
-_ROUTES: tuple[tuple[str, Formula, Optional[Formula]], ...] = (
+# the schemas are, each a pair that must be full on the same slices.  A
+# U-ROUTE row pairs phi with U phi, which normalizes to Kh(~phi, bot).
+# KHPLUS-DEF is a validity, like a schema, so its twin is top.
+_ROUTES: tuple[tuple[str, Formula, Formula], ...] = (
     ("U-ROUTE", parse_formula("p"), parse_formula("U p")),
     ("U-ROUTE", parse_formula("p -> q"), parse_formula("U(p -> q)")),
-    ("KHPLUS-DEF", parse_formula("Khp(p, q) <-> Kh(p, q) & ~U(p -> q)"), None),
+    ("KHPLUS-DEF", parse_formula("Khp(p, q) <-> Kh(p, q) & ~U(p -> q)"), parse_formula("top")),
 )
 
 
 @functools.lru_cache(maxsize=1)
 def _audit_rows(
-    schemas: tuple[tuple[str, Formula], ...], routes: tuple[tuple[str, Formula, Optional[Formula]], ...]
-) -> tuple[tuple[tuple[str, ...], Program, tuple[tuple[int, str, int, Optional[int]], ...]], ...]:
+    schemas: tuple[tuple[str, Formula], ...], routes: tuple[tuple[str, Formula, Formula], ...]
+) -> tuple[tuple[tuple[tuple[str, ...], Program, int], ...], tuple[tuple[str, int, int, int], ...]]:
     """The audited rows, ``schemas`` (the axioms), the derived theorems,
-    then ``routes``, grouped by their sorted letters.  Each group is its
-    letters, one program of all its rows and their ``U`` twins, and its
-    rows, each as its position among all rows, its name, and the slots of
-    its root and of its twin's root (None for a validity).  Called with the
-    current :data:`~knowhow.proofs.AXIOM_SCHEMAS` and :data:`_ROUTES`, so
-    the rows are built again only when either has changed."""
-    named: list[tuple[str, Formula, Optional[Formula]]] = [
-        (name, schema, None) for name, schema in schemas
-    ]
-    named += [(entry.name, entry.formula, None) for entry in theorem_db()]
+    then ``routes``, as pairs whose twin is ``top`` for a validity.
+    Returns the groups of rows over the same sorted letters, each as its
+    letters, one program of all their formulas and twins, and its number of
+    rows; and the rows in order, each as its name, its group's index and
+    the slots of its formula and of its twin.  Called with the current
+    :data:`~knowhow.proofs.AXIOM_SCHEMAS` and :data:`_ROUTES`, so the rows
+    are built again only when either has changed."""
+    top = Top()
+    named = [(name, schema, top) for name, schema in schemas]
+    named += [(entry.name, entry.formula, top) for entry in theorem_db()]
     named += routes
-    groups: dict[tuple[str, ...], list[tuple[int, str, Formula, Optional[Formula]]]] = {}
-    for position, (name, phi, twin) in enumerate(named):
-        letters = atom_names(phi) | (atom_names(twin) if twin is not None else frozenset())
-        groups.setdefault(tuple(sorted(letters)), []).append((position, name, phi, twin))
-    compiled = []
-    for letters, rows in groups.items():
-        program, slots = _compile(*[root for _, _, *pair in rows for root in pair if root is not None])
-        slot = iter(slots)  # each row's root, then its twin's
-        members = tuple(
-            (position, name, next(slot), None if twin is None else next(slot))
-            for position, name, _, twin in rows
-        )
-        compiled.append((letters, program, members))
-    return tuple(compiled)
+    groups: dict[tuple[str, ...], list[Formula]] = {}
+    placed = []  # each row's name, group index and position among its group's roots
+    for name, phi, twin in named:
+        letters = tuple(sorted(atom_names(phi) | atom_names(twin)))
+        roots = groups.setdefault(letters, [])
+        placed.append((name, list(groups).index(letters), len(roots)))
+        roots += phi, twin
+    compiled = [_compile(*roots) for roots in groups.values()]
+    rows = tuple((name, group, compiled[group][1][k], compiled[group][1][k + 1]) for name, group, k in placed)
+    return tuple((letters, program, len(slots) // 2) for letters, (program, slots) in zip(groups, compiled)), rows
 
 
 def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
@@ -259,59 +255,49 @@ def soundness_audit(cfg: GenConfig, count: int) -> AuditReport:
     each letter ``x`` read as the extension of ``y``; it holds by induction
     on the schema, because ``Kh`` reads only the extensions of its two
     arguments.  So the rows run once per model, over a wide int that
-    concatenates one slice per assignment in ``product`` order.  Rows over
-    the same letters share one program, which lists every distinct node of
-    all of them and their ``U`` twins once, so a model runs one program per
-    letter set.  For ``n`` states a slice is ``w = 8*ceil(n/8)`` bits, and
-    its padding bits are always 0.  A row with ``k`` letters reads letter
-    ``x`` as the wide int whose slices are the masks ``x`` takes in each
-    assignment; these values and the all-true value are built once per
-    model and arity.  ``Kh`` splits its operands into slices and looks each
-    pair up in the model's one decision memo, whose misses run the plan
-    search.  A validity row fails on the slices that are not full, a ``U``
-    pair on the slices where exactly one of its two roots is full.  A
-    program's values (one wide int per op, each ``len(cfg.letters)**k * w``
-    bits) are freed before the next program runs, and the memo with the
-    model.  The rows are built once while the schemas and routes stay the
-    same, so a repeat audit builds and compiles no formula."""
+    concatenates one slice per assignment in ``product`` order.  Every row
+    is a pair, a formula and its twin (``top`` for a validity, ``U phi``
+    for a U-ROUTE row ``phi``), that fails on the slices where exactly one
+    of the two is full.  Rows over the same letters share one program,
+    which lists every distinct node of all their formulas and twins once,
+    so a model runs one program per letter set.  For ``n`` states a slice
+    is ``w = 8*ceil(n/8)`` bits, and its padding bits are always 0.  A
+    program over ``k`` letters reads letter ``x`` as the wide int whose
+    slices are the masks ``x`` takes in each assignment.  ``Kh`` splits
+    its operands into slices and looks each pair up in the model's one
+    decision memo, whose misses run the plan search.  Then the rows are
+    checked in row order against the model's runs (one wide int per op,
+    each ``len(cfg.letters)**k * w`` bits).  The rows are built once while
+    the schemas and routes stay the same, so a repeat audit builds and
+    compiles no formula."""
     if not cfg.letters:
         raise ValueError("the audit needs at least one proposition letter")
-    groups = _audit_rows(tuple(AXIOM_SCHEMAS.items()), _ROUTES)
-    arities = {len(letters) for letters, _, _ in groups}
+    groups, rows = _audit_rows(tuple(AXIOM_SCHEMAS.items()), _ROUTES)
     base = len(cfg.letters)
     violations: list[AuditViolation] = []
-    number = instances = 0
+    number = 0
     for number, model in enumerate(generate(cfg, count), start=1):
         size = (len(model.states) + 7) >> 3
         decisions = _Decisions(model)
         everything = decisions.everything
         masks = [model._letters.get(y, 0).to_bytes(size, "little") for y in cfg.letters]
-        # Per arity k: the all-true value, and the value of each letter j,
-        # whose slices repeat each mask base**(k-1-j) times in turn.
-        wide = {}
-        for k in arities:
-            atoms = []
-            for j in range(k):
-                run = b"".join(mask * base ** (k - 1 - j) for mask in masks)
-                atoms.append(int.from_bytes(run * base**j, "little"))
-            wide[k] = int.from_bytes(everything.to_bytes(size, "little") * base**k, "little"), atoms
-        found: list[tuple[int, AuditViolation]] = []
-        for row_letters, program, rows in groups:
-            full, atoms = wide[len(row_letters)]
-            values = _run(program, dict(zip(row_letters, atoms)), decisions, full)
-            instances += len(rows) * base ** len(row_letters)
-            width = base ** len(row_letters) * size
-            for position, name, root, twin in rows:
-                # A validity must be full; a U pair must be full on both or neither.
-                value, other = values[root], full if twin is None else values[twin]
-                if value != other:
-                    slices = zip(_slices(value, width, size), _slices(other, width, size))
-                    for combo, (x, y) in zip(product(cfg.letters, repeat=len(row_letters)), slices):
-                        if (x == everything) != (y == everything):
-                            assignment = tuple(zip(row_letters, combo))
-                            found.append((position, AuditViolation(number, name, assignment, model)))
-            del values
-        # Back to row order; the sort is stable, so product order holds within a row.
-        found.sort(key=lambda entry: entry[0])
-        violations += [violation for _, violation in found]
+        runs = []
+        for letters, program, _ in groups:
+            k = len(letters)
+            # Letter j's slices repeat each mask base**(k-1-j) times in turn.
+            atoms = [
+                int.from_bytes(b"".join(mask * base ** (k - 1 - j) for mask in masks) * base**j, "little")
+                for j in range(k)
+            ]
+            full = int.from_bytes(everything.to_bytes(size, "little") * base**k, "little")
+            runs.append((letters, _run(program, dict(zip(letters, atoms)), decisions, full)))
+        for name, group, root, twin in rows:
+            letters, values = runs[group]
+            if values[root] != values[twin]:
+                width = base ** len(letters) * size
+                slices = zip(_slices(values[root], width, size), _slices(values[twin], width, size))
+                for combo, (x, y) in zip(product(cfg.letters, repeat=len(letters)), slices):
+                    if (x == everything) != (y == everything):
+                        violations.append(AuditViolation(number, name, tuple(zip(letters, combo)), model))
+    instances = number * sum(length * base ** len(letters) for letters, _, length in groups)
     return AuditReport(number, instances, tuple(violations))

@@ -175,6 +175,11 @@ class Model:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Model is immutable")
 
+    def __reduce__(self):
+        # Pickle and copy rebuild through the unchecked constructor, so the
+        # copy starts with empty memos.
+        return self._of_masks, (self.states, self.actions, self._index, self._columns, self._letters)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Model):
             return NotImplemented

@@ -45,6 +45,7 @@ evaluation, tautology checks, atom_names and substitution, or in
 
 from __future__ import annotations
 
+import copyreg
 import re
 import threading
 import weakref
@@ -115,11 +116,34 @@ class Formula:
         return node if node is not None else _intern(cls, args)
 
     def __reduce__(self):
-        # Rebuild through the constructor, which re-interns the node.
-        return type(self), tuple(getattr(self, f) for f in self.__dataclass_fields__)
+        # The distinct subterms, children first: an atom as its name, any
+        # other node as its type and its children's positions.  _rebuilt
+        # builds them in that order, through the constructor, which
+        # re-interns each node; neither side recurses.
+        nodes = _subterms(self)
+        slot = {node: i for i, node in enumerate(nodes)}
+        ops = [node.name if type(node) is Atom else (type(node), *map(slot.get, node.kids)) for node in nodes]
+        return _rebuilt, (ops,)
+
+    def __copy__(self) -> Formula:
+        return self
+
+    def __deepcopy__(self, memo: dict) -> Formula:
+        return self
+
+    def __repr__(self) -> str:
+        return f"parse_formula({print_formula(self)!r})"
 
     def __str__(self) -> str:
         return print_formula(self)
+
+
+def _rebuilt(ops: list) -> Formula:
+    """The last node of ``ops``, listed as :meth:`Formula.__reduce__` lists them."""
+    nodes: list[Formula] = []
+    for op in ops:
+        nodes.append(Atom(op) if type(op) is str else op[0](*[nodes[i] for i in op[1:]]))
+    return nodes[-1]
 
 
 class _Entry(weakref.ref):
@@ -185,62 +209,62 @@ def _intern(cls: type, args: tuple) -> Formula:
     return found
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class U(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Kh(Formula):
     cond: Formula
     goal: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class KhPlus(Formula):
     cond: Formula
     goal: Formula
@@ -311,6 +335,10 @@ class FormulaSyntaxError(ValueError):
         if expected:
             detail += " (expected " + " or ".join(expected) + ")"
         super().__init__(detail)
+
+    def __reduce__(self):
+        # Rebuild from ``args``, the formatted message, without __init__.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 def _bad(words: Iterable[str]) -> list[str]:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 import random
 import re
 from itertools import product
@@ -441,6 +443,20 @@ class TestAuditRoutes:
         assert report == _substitute_route_audit(cfg, 40)
         assert report.violations and {v.schema for v in report.violations} == {"GOAL-CONJ"}
 
+    def test_report_and_countermodel_pickle_and_copy(self, monkeypatch):
+        monkeypatch.setitem(
+            proofs.AXIOM_SCHEMAS, "GOAL-CONJ", parse_formula("Kh(p, q) & Kh(p, r) -> Kh(p, q & r)")
+        )
+        cfg = GenConfig(max_states=4, max_actions=2, letters=("p", "q", "r"), seed=608)
+        report = soundness_audit(cfg, 40)
+        assert len(report.violations) == 18
+        found = find_countermodel(proofs.AXIOM_SCHEMAS["GOAL-CONJ"], cfg, 40)
+        assert found is not None
+        for value in (report, found):
+            copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for twin in copies + [copy.deepcopy(value)]:
+                assert twin == value
+
     def test_schema_planted_after_a_clean_audit_is_reported(self, monkeypatch):
         # The rows are built once; a schema planted after an audit must
         # still be audited.
@@ -511,7 +527,7 @@ class TestAuditRoutes:
         p, q = Atom("p"), Atom("q")
         monkeypatch.setattr(modelgen, "_ROUTES", (
             ("U-ROUTE", Implies(p, q), U(Implies(q, p))),
-            ("KHPLUS-DEF", parse_formula("Khp(p, q) <-> Kh(p, q)"), None),
+            ("KHPLUS-DEF", parse_formula("Khp(p, q) <-> Kh(p, q)"), parse_formula("top")),
         ))
         cfg = GenConfig(max_states=3, max_actions=2, letters=("p", "q", "r"), seed=609)
         report = soundness_audit(cfg, 60)

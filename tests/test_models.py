@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 import os
 import random
 import re
@@ -322,6 +324,18 @@ class TestModelValidation:
     def test_immutable(self, ex1):
         with pytest.raises(AttributeError):
             ex1.states = ()
+
+    def test_pickle_and_copy_rebuild_with_empty_memos(self, fixtures_dir):
+        model = parse_model((fixtures_dir / "ex1.lts").read_text(encoding="utf-8"))
+        assert verify_plan(model, frozenset(model.states[:3]), frozenset(model.states), ("r", "u"))
+        assert model._set_masks and any(model._images.values())
+        copies = [pickle.loads(pickle.dumps(model, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(model), copy.deepcopy(model)]
+        for twin in copies:
+            assert twin == model and twin is not model
+            assert format_model(twin) == format_model(model)
+            assert twin._set_masks == {} and twin._images == {a: {} for a in model.actions}
+            assert verify_plan(twin, frozenset(model.states[:3]), frozenset(model.states), ("r", "u"))
 
 
 # Values a Python caller may pass where a name is expected: declared names,

@@ -68,3 +68,33 @@ def test_only_models_writes_a_models_slots():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__":
                 assert any(node is func for func in allowed), f"{path.name}:{node.lineno}"
+
+
+def test_no_function_calls_itself():
+    # Every walk over formulas, models and proofs runs on explicit stacks,
+    # so that the 10,000-level nesting limit never meets the recursion
+    # limit.  ``super().__init__`` in an ``__init__`` calls another function.
+    source = Path(knowhow.__file__).parent
+    for path in source.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(function):
+                if not isinstance(call, ast.Call):
+                    continue
+                callee = call.func
+                if isinstance(callee, ast.Name):
+                    assert callee.id != function.name, f"{path.name}:{call.lineno}"
+                elif isinstance(callee, ast.Attribute) and ast.unparse(callee.value) != "super()":
+                    assert callee.attr != function.name, f"{path.name}:{call.lineno}"
+
+
+def test_formula_nodes_use_formulas_own_methods():
+    # A dataclass-generated __repr__, or a field-wise __reduce__, recurses
+    # once per level of nesting.
+    nodes = syntax.Formula.__subclasses__()
+    assert len(nodes) == 11
+    for node in nodes:
+        for name in ("__repr__", "__reduce__", "__copy__", "__deepcopy__"):
+            assert getattr(node, name) is getattr(syntax.Formula, name), (node, name)

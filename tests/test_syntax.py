@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
 import os
@@ -25,8 +26,10 @@ from knowhow import (
     Kh,
     KhPlus,
     Model,
+    ModelFormatError,
     Not,
     Or,
+    ProofFormatError,
     TautologyBudgetError,
     Top,
     U,
@@ -282,6 +285,11 @@ class TestPrint:
     def test_u(self):
         assert print_formula(U(p)) == "U p"
 
+    def test_repr_is_a_parse_formula_call(self):
+        phi = parse_formula("Kh(p, q) -> U p")
+        assert repr(phi) == "parse_formula('Kh(p, q) -> U p')"
+        assert eval(repr(phi), {"parse_formula": parse_formula}) is phi
+
     def test_parenthesizes_or_under_and(self):
         assert print_formula(And(Or(p, q), r)) == "(p | q) & r"
 
@@ -429,6 +437,22 @@ class TestDepthLimit:
         assert hash(twin) == hash(phi)
         assert twin == phi
         assert twin != parse_formula("~" * depth + "q")
+
+    def test_deep_repr_pickle_and_copy(self):
+        # The right-nested conjunction prints nested twice as deep as its
+        # height, beyond what the parser accepts, and still pickles.
+        depth = 9_990
+        negations = parse_formula("~" * depth + "p")
+        assert repr(negations) == f"parse_formula({'~' * depth + 'p'!r})"
+        conjunction = p
+        for _ in range(depth):
+            conjunction = And(q, conjunction)
+        for phi in (negations, conjunction):
+            assert formula_height(phi) == depth + 1
+            assert copy.copy(phi) is phi and copy.deepcopy(phi) is phi
+            assert copy.deepcopy([phi, phi])[1] is phi
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(phi, protocol)) is phi
 
     def test_concurrent_deep_calls(self):
         # Deep calls walk explicit stacks on the caller's thread: overlapping
@@ -728,3 +752,22 @@ def test_unpickled_formula_matches_fresh_one_in_another_process():
         env={**os.environ, "PYTHONHASHSEED": "1"},
     )
     assert proc.stdout == b"True 1\n", proc.stderr
+
+
+def test_errors_survive_pickling():
+    # So that an error raised in a worker process reaches its parent.
+    with pytest.raises(FormulaSyntaxError) as caught:
+        parse_formula("p & (q")
+    assert caught.value.offset == 7 and caught.value.expected
+    errors = [
+        caught.value,
+        ModelFormatError("bad line", 3),
+        ProofFormatError("bad line", 4),
+        ProofFormatError("no lines"),
+        TautologyBudgetError("too many units"),
+    ]
+    for error in errors:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(error, protocol))
+            assert type(back) is type(error) and str(back) == str(error)
+            assert back.__dict__ == error.__dict__  # offset and expected, or line
