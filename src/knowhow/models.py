@@ -335,8 +335,9 @@ def parse_model(text: str) -> Model:
 
     Each line is checked once, and the masks are built from the checked
     lines, so the model is stored unchecked.  A well-formed ``trans`` line
-    is one match of :data:`_TRANS_LINE`; any other line is split into
-    tokens, and the first bad token names the error.  An edge's states are
+    is one match of :data:`_TRANS_LINE`, and every ``trans`` line that
+    does not match is an error; any other line is split into tokens, and
+    the first bad token names the error.  An edge's states are
     looked up after the last line, since they may be declared later."""
     index: dict[str, int] = {}  # each state's position, in declaration order
     letters: dict[str, int] = {}
@@ -371,15 +372,14 @@ def parse_model(text: str) -> Model:
             if len(parts) != 2:
                 raise ModelFormatError("malformed action line (want: action <name>)", line_no)
             actions.setdefault(_check_id(parts[1], "action", line_no))
-        elif head == "trans":
+        elif head == "trans":  # not a match of _TRANS_LINE, so some check fails
             parts = line.split()
             if len(parts) != 4:
                 raise ModelFormatError("malformed trans line (want: trans <src> <action> <dst>)", line_no)
             _, src, act, dst = parts
             _check_id(src, "state", line_no)
             _check_id(dst, "state", line_no)
-            actions.setdefault(_check_id(act, "action", line_no))
-            edges.append((line_no, src, act, dst))
+            raise ModelFormatError(f"bad action id {act!r}", line_no)
         else:
             raise ModelFormatError(f"unknown directive {head!r}", line_no)
 

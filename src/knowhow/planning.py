@@ -38,14 +38,18 @@ construction.  State *s*'s *column* holds its successor mask under the
 *i*-th action at bit offset ``i * |S|``, so the OR of a set's columns
 holds every action's image side by side, and the *i*-th image is
 ``images >> i * |S|`` cut to ``|S|`` bits.  find_plan reads that OR from
-an *image table*, built from the columns once per search and only when
-the start set is not already a goal: for each group of four consecutive
-states, the OR for each subset of the group.  A belief costs one lookup
-per nonzero group, found from its highest set bit down, so never more
-lookups than members, and one walk serves all actions.  The search keeps
-only the belief each one was first reached from, and rebuilds the
-witness once, on success: each step is the first action, in declaration
-order, that takes the parent to the child.
+an *image table*, built from the columns once per call: for each group
+of four consecutive states, the OR for each subset of the group.  A
+belief costs one lookup per nonzero group, found from its highest set
+bit down, so never more lookups than members, and one walk serves all
+actions.  The search keeps only the belief each one was first reached
+from, and reports what it found: the first goal belief it dequeued, if
+any, the parent links of every belief it reached, and how many it
+dequeued.  find_plan alone turns that into a :class:`PlanResult`, and
+rebuilds the witness once, on success: each step is the first action,
+in declaration order, that takes the parent to the child.  A ``Kh``
+decision (see :mod:`~knowhow.semantics`) reads only whether a goal
+belief was found.
 
 The two functions deliberately share no traversal code, only the
 columns: verify_plan never reads the image table, so it stays the
@@ -207,9 +211,10 @@ def find_plan(model: Model, starts: Iterable[str], goals: Iterable[str]) -> Plan
     """
     root = model._mask(starts, "start set mentions ")
     goal = model._mask(goals, "goal set mentions ")
-    if not root & ~goal:  # _search's first check, made here so that no table is built
-        return PlanResult(True, (), 1)
-    return _search(model, _image_table(model), root, goal)
+    table = _image_table(model)
+    found, parents, explored = _search(model, table, root, goal)
+    witness = None if found is None else _witness(model, table, parents, found)
+    return PlanResult(found is not None, witness, explored)
 
 
 def _image_table(model: Model) -> list[Optional[list[int]]]:
@@ -230,24 +235,25 @@ def _image_table(model: Model) -> list[Optional[list[int]]]:
     return table
 
 
-def _search(model: Model, table: list, root: int, goal: int) -> PlanResult:
-    """:func:`find_plan` on masks: the start mask ``root`` and the goal
-    mask ``goal``, with ``table`` the model's :func:`_image_table`."""
+def _search(model: Model, table: list, root: int, goal: int) -> tuple[Optional[int], dict, int]:
+    """The search of :func:`find_plan` on masks: the start mask ``root``
+    and the goal mask ``goal``, with ``table`` the model's
+    :func:`_image_table`.  Returns the first belief it dequeues inside the
+    goal, or ``None``; the belief each reached belief was first reached
+    from, so its keys are every belief reached (the root's parent is
+    ``None``); and the number of beliefs dequeued.  Each reached belief is
+    queued once, so that number is the reached ones not still queued."""
     outside_goal = ~goal
-    if not root & outside_goal:
-        return PlanResult(True, (), 1)
     # Walked once per belief, and a tuple iterates faster than a dict view.
     moves = tuple(model._moves.values())
     full = (1 << len(model.states)) - 1
 
     queue: deque[int] = deque([root])
-    parents: dict[int, Optional[int]] = {root: None}  # the belief each was first reached from
-    explored = 0
+    parents: dict[int, Optional[int]] = {root: None}
     while queue:
         belief = queue.popleft()
-        explored += 1
         if not belief & outside_goal:
-            return PlanResult(True, _witness(model, table, parents, belief), explored)
+            return belief, parents, len(parents) - len(queue)
         # _images(table, belief), inlined: a call per belief costs about 5% of a search.
         images = 0
         rest = belief
@@ -263,7 +269,7 @@ def _search(model: Model, table: list, root: int, goal: int) -> PlanResult:
             if image not in parents:
                 parents[image] = belief
                 queue.append(image)
-    return PlanResult(False, None, explored)
+    return None, parents, len(parents)
 
 
 def _images(table: list, belief: int) -> int:

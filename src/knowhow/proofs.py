@@ -102,8 +102,6 @@ AXIOM_SCHEMAS: dict[str, Formula] = {
     "5KU": parse_formula("~Kh(p, q) -> U ~Kh(p, q)"),
 }
 
-_AXIOM_LETTERS = {name: frozenset(atom_names(schema)) for name, schema in AXIOM_SCHEMAS.items()}
-
 TAUTOLOGY_LETTER_BUDGET = 20
 
 
@@ -207,6 +205,13 @@ class TheoremEntry:
 # --- Axiom instantiation ---------------------------------------------------
 
 
+# The letters of a schema, taken from the schema being instantiated, so that
+# an edited AXIOM_SCHEMAS is read as it is at call time.  Formulas are
+# interned, so the memo is keyed by the schema itself; it is bounded, so
+# schemas swapped in and out do not pile up.
+_schema_letters = functools.lru_cache(maxsize=64)(atom_names)
+
+
 def instantiate_axiom(name: str, binding: Mapping[str, Formula]) -> Formula:
     """The named schema with its letters simultaneously replaced.
 
@@ -214,10 +219,11 @@ def instantiate_axiom(name: str, binding: Mapping[str, Formula]) -> Formula:
     binding leaves out a letter of the schema or names one it does not use.
     """
     schema = AXIOM_SCHEMAS[name]
-    missing = _AXIOM_LETTERS[name] - set(binding)
+    letters = _schema_letters(schema)
+    missing = letters - set(binding)
     if missing:
         raise ValueError(f"binding for axiom {name} is missing letter {min(missing)!r}")
-    extra = set(binding) - _AXIOM_LETTERS[name]
+    extra = set(binding) - letters
     if extra:
         raise ValueError(f"axiom {name} does not use letter {min(extra)!r}")
     return substitute_all(schema, binding)

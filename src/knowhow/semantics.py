@@ -26,8 +26,9 @@ values from that list.
 the extensions of its two arguments.  A ``Kh`` op splits its operands into
 slices and looks every pair ``(cond mask, goal mask)`` up in one C-level
 ``map`` over the caller's decision memo, a ``dict`` whose misses run the
-plan search and store its decision.  So each distinct pair costs one plan
-search however many Kh nodes, slices and programs share it.  The memo
+plan search and store its decision, which is only whether the search
+found a goal belief.  So each distinct pair costs one plan search
+however many Kh nodes, slices and programs share it.  The memo
 builds the model's image table (see :mod:`~knowhow.planning`) on its
 first miss and gives it to every search it runs, so a formula with no
 ``Kh`` builds none, and the audit builds one per model.  The memo
@@ -71,7 +72,7 @@ class _Decisions(dict):
         if self.table is None:
             self.table = _image_table(self.model)
         # _search is looked up here, at call time, so that it can be wrapped.
-        mask = self[pair] = self.everything if _search(self.model, self.table, *pair).decision else 0
+        mask = self[pair] = self.everything if _search(self.model, self.table, *pair)[0] is not None else 0
         return mask
 
 

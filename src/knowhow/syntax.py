@@ -531,7 +531,13 @@ _LAYOUT: dict[type, tuple[int, str, tuple[tuple[int, str], ...]]] = {
 
 
 def print_formula(phi: Formula) -> str:
-    """Concrete syntax for ``phi``; ``parse_formula`` inverts it exactly."""
+    """Concrete syntax for ``phi``.  ``parse_formula`` inverts it exactly
+    while the printed text nests at most 10,000 levels, and the text can
+    nest deeper than ``phi`` is high: a right-nested conjunction
+    ``And(q, And(q, ... p))`` prints as ``q & (q & (...))``, where each
+    level's ``&`` and ``(`` both count toward the parser's nesting depth,
+    so it round-trips up to height 5,001 and its text is rejected from
+    height 5,002."""
     out: list[str] = []
     stack: list = [(phi, 0)]  # (node, min level) pairs and text still to print
     while stack:

@@ -70,6 +70,30 @@ def test_only_models_writes_a_models_slots():
                 assert any(node is func for func in allowed), f"{path.name}:{node.lineno}"
 
 
+def test_verify_plan_shares_no_search_code():
+    # verify_plan is find_plan's independent oracle.  It and its helper
+    # name none of the search's functions, and the search never reads
+    # verify_plan's two memos.  ``_images`` is both a search function (a
+    # name) and a memo slot (an attribute), so the two rules look at
+    # different nodes.
+    tree = ast.parse(Path(planning.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    search = {"_image_table", "_images", "_search", "_witness"}
+    memos = {"_images", "_set_masks"}
+
+    def names(function):
+        return {node.id for node in ast.walk(functions[function]) if isinstance(node, ast.Name)}
+
+    def attributes(function):
+        return {node.attr for node in ast.walk(functions[function]) if isinstance(node, ast.Attribute)}
+
+    assert memos <= attributes("verify_plan")
+    for function in ("verify_plan", "_image"):
+        assert not names(function) & search, function
+    for function in ("find_plan", *sorted(search)):
+        assert not attributes(function) & memos, function
+
+
 def test_no_function_calls_itself():
     # Every walk over formulas, models and proofs runs on explicit stacks,
     # so that the 10,000-level nesting limit never meets the recursion

@@ -298,8 +298,7 @@ class TestImageTable:
         with pytest.raises(AssertionError, match="image table"):
             find_plan(model, model.states, ())
 
-    def test_a_goal_root_builds_no_table(self, ex1, monkeypatch):
-        monkeypatch.setattr(planning, "_image_table", None)
+    def test_a_goal_root_is_the_one_belief_explored(self, ex1):
         assert find_plan(ex1, ex1.labelled("p"), ex1.labelled("p")) == PlanResult(True, (), 1)
 
     def test_one_action_cycle_of_1024_singletons(self):
@@ -309,6 +308,59 @@ class TestImageTable:
         assert find_plan(model, {"s0"}, {"s1023"}) == PlanResult(True, ("a",) * 1023, 1024)
         assert find_plan(model, {"s1000"}, {"s3", "s999"}) == PlanResult(True, ("a",) * 27, 28)
         assert find_plan(model, {"s5"}, ()) == PlanResult(False, None, 1024)
+
+
+def _every_two_state_two_action_model():
+    """The 256 models on states s0, s1 and actions a, b: each action has
+    each of the four possible edges or not."""
+    states = ("s0", "s1")
+    pairs = tuple(product(states, repeat=2))
+    for edges in range(256):
+        transitions = {
+            action: {pair for k, pair in enumerate(pairs) if edges >> (4 * i + k) & 1}
+            for i, action in enumerate(("a", "b"))
+        }
+        yield Model(states, ("a", "b"), transitions, {})
+
+
+class TestSearchReport:
+    """_search reports the first goal belief it dequeued, or None, the
+    parent links of every belief it reached and how many it dequeued.  A
+    failed search's beliefs are its certificate: the root, none inside the
+    goal, and closed under every action a member can take."""
+
+    @staticmethod
+    def check(model, root, goal):
+        found, parents, explored = planning._search(model, planning._image_table(model), root, goal)
+        assert root in parents
+        assert 1 <= explored <= len(parents)
+        if found is not None:
+            assert found in parents and not found & ~goal
+            return
+        assert explored == len(parents)
+        full = (1 << len(model.states)) - 1
+        for belief in parents:
+            assert belief & ~goal
+            images = 0
+            for i, column in enumerate(model._columns):
+                if belief >> i & 1:
+                    images |= column
+            for stuck, offset in model._moves.values():
+                if not belief & stuck:
+                    assert images >> offset & full in parents
+
+    def test_every_two_state_two_action_model(self):
+        for model in _every_two_state_two_action_model():
+            for root, goal in product(range(4), repeat=2):
+                self.check(model, root, goal)
+
+    def test_random_models_of_four_to_eight_states(self):
+        rng = random.Random(27)
+        for _ in range(300):
+            model = _random_model(rng, (4, 8))
+            width = len(model.states)
+            for _ in range(4):
+                self.check(model, rng.getrandbits(width), rng.getrandbits(width))
 
 
 class TestAgainstStringSetReference:

@@ -114,6 +114,17 @@ class TestAxiomInstantiation:
         with pytest.raises(KeyError):
             instantiate_axiom("NOPE", {})
 
+    def test_edited_schemas_are_read_at_call_time(self, monkeypatch):
+        # An added schema, and a replaced one with other letters, bind
+        # their own letters.
+        monkeypatch.setitem(AXIOM_SCHEMAS, "GOAL-CONJ", parse_formula("Kh(p, q) & Kh(p, r) -> Kh(p, q & r)"))
+        monkeypatch.setitem(AXIOM_SCHEMAS, "TU", parse_formula("U s -> s"))
+        for text in (
+            "1. Kh(p, q) & Kh(p, r) -> Kh(p, q & r) ; axiom GOAL-CONJ p=p q=q r=r",
+            "1. U s -> s ; axiom TU s=s",
+        ):
+            assert check_proof(parse_proof(text).proof).accepted, text
+
     def test_commutes_with_substitution(self):
         # Bindings over letters disjoint from the schema's own can be applied
         # one at a time, in any order.

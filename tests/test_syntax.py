@@ -454,6 +454,22 @@ class TestDepthLimit:
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 assert pickle.loads(pickle.dumps(phi, protocol)) is phi
 
+    def test_print_parse_round_trip_to_the_nesting_limit(self):
+        # Each level of a right-nested conjunction prints as "q & (", and
+        # both the "&" and the "(" count toward the parser's nesting depth,
+        # so the printed text of height 5,001 nests 10,000 levels deep.
+        conjunction = p
+        for _ in range(5_000):
+            conjunction = And(q, conjunction)
+        assert formula_height(conjunction) == 5_001
+        assert parse_formula(print_formula(conjunction)) is conjunction
+        assert eval(repr(conjunction), {"parse_formula": parse_formula}) is conjunction
+        deeper = And(q, conjunction)
+        with pytest.raises(FormulaSyntaxError, match="nesting depth exceeds 10000"):
+            parse_formula(print_formula(deeper))
+        with pytest.raises(FormulaSyntaxError, match="nesting depth exceeds 10000"):
+            eval(repr(deeper), {"parse_formula": parse_formula})
+
     def test_concurrent_deep_calls(self):
         # Deep calls walk explicit stacks on the caller's thread: overlapping
         # calls from several threads must all succeed and leave the
