@@ -25,15 +25,13 @@ from __future__ import annotations
 
 import functools
 import random
-import string
-from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterator, Optional
 
 from .models import Model, _moves_of
 from .proofs import AXIOM_SCHEMAS, theorem_db
 from .semantics import Program, _compile, _Decisions, _run, _slices
-from .syntax import _ATOM_NAME, Formula, Top, atom_names, parse_formula
+from .syntax import _ATOM_NAME, Formula, Top, _Record, _record, atom_names, parse_formula
 
 __all__ = [
     "GenConfig",
@@ -48,10 +46,12 @@ __all__ = [
 EXHAUSTIVE_MAX_STATES = 4
 EXHAUSTIVE_MAX_ACTIONS = 2
 RANDOM_MAX_STATES = 1024  # a 26-action model this size takes about 4 s to draw on a 2-vCPU Xeon
+# Action names, in order: a model with n actions has the first n.
+_ACTIONS = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
-class GenConfig:
+@_record
+class GenConfig(_Record):
     """Configuration for model generation."""
 
     max_states: int
@@ -60,7 +60,8 @@ class GenConfig:
     seed: int = 0
     mode: str = "random"
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
         if not isinstance(self.letters, (tuple, list)):
             raise ValueError(f"letters must be a tuple or list of str, got {self.letters!r}")
         object.__setattr__(self, "letters", tuple(self.letters))
@@ -71,7 +72,7 @@ class GenConfig:
         for field in ("max_states", "max_actions"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be at least 1")
-        if self.max_actions > len(string.ascii_lowercase):
+        if self.max_actions > len(_ACTIONS):
             raise ValueError("at most 26 actions are supported")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
@@ -102,7 +103,7 @@ def _state_names(n: int) -> tuple[str, ...]:
 
 def _random_models(cfg: GenConfig) -> Iterator[Model]:
     rng = random.Random(cfg.seed)
-    actions = tuple(string.ascii_lowercase[: cfg.max_actions])
+    actions = tuple(_ACTIONS[: cfg.max_actions])
     while True:
         states = _state_names(rng.randint(1, cfg.max_states))
         n = len(states)
@@ -126,7 +127,7 @@ def _random_models(cfg: GenConfig) -> Iterator[Model]:
 
 def _exhaustive_models(cfg: GenConfig) -> Iterator[Model]:
     states = _state_names(cfg.max_states)
-    actions = tuple(string.ascii_lowercase[: cfg.max_actions])
+    actions = tuple(_ACTIONS[: cfg.max_actions])
     index = {s: i for i, s in enumerate(states)}
     n, field = len(states), (1 << len(states)) - 1
     offsets = range(0, len(actions) * n, n)
@@ -184,16 +185,20 @@ def find_countermodel(
     return None
 
 
-@dataclass(frozen=True)
-class AuditViolation:
+@_record
+class AuditViolation(_Record):
+    """An audit row that fails on the numbered model under ``assignment``."""
+
     model_number: int  # 1-based position in the generated stream
     schema: str
     assignment: tuple[tuple[str, str], ...]
     model: Model
 
 
-@dataclass(frozen=True)
-class AuditReport:
+@_record
+class AuditReport(_Record):
+    """What :func:`soundness_audit` checked, and the violations it found."""
+
     models_checked: int
     instances_checked: int
     violations: tuple[AuditViolation, ...]

@@ -70,11 +70,11 @@ find_plan neither reads nor writes them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import length_hint
 from typing import Iterable, NamedTuple, Optional
 
 from .models import Model, Plan
+from .syntax import _Record, _record
 
 __all__ = ["PlanCheck", "PlanResult", "verify_plan", "find_plan"]
 
@@ -109,8 +109,8 @@ class PlanCheck(NamedTuple):
         return f"endpoint {self.state} is not a goal state (from start {self.start})"
 
 
-@dataclass(frozen=True, slots=True)
-class PlanResult:
+@_record
+class PlanResult(_Record):
     """Outcome of :func:`find_plan`.
 
     ``witness`` is present iff ``decision`` is true; ``explored`` counts

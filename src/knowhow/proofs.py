@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .syntax import (
@@ -61,6 +60,8 @@ from .syntax import (
     Not,
     U,
     _ATOM_NAME,
+    _Record,
+    _record,
     _subterms,
     atom_names,
     normalize,
@@ -120,63 +121,78 @@ class ProofFormatError(ValueError):
 # --- Justifications -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Taut:
-    pass
+@_record
+class Taut(_Record):
+    """A propositional tautology over the modal units."""
 
 
-@dataclass(frozen=True)
-class AxiomInst:
+@_record
+class AxiomInst(_Record):
+    """An instance of the schema ``name``; ``binding`` is copied to a dict."""
+
     name: str
     binding: Mapping[str, Formula]
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "binding", dict(self.binding))
 
     def __hash__(self) -> int:
         return hash((self.name, frozenset(self.binding.items())))
 
 
-@dataclass(frozen=True)
-class MP:
+@_record
+class MP(_Record):
+    """Modus ponens from the lines ``premise`` and ``implication``."""
+
     premise: int
     implication: int
 
 
-@dataclass(frozen=True)
-class NecU:
+@_record
+class NecU(_Record):
+    """Universal necessitation: ``U phi`` from the line ``premise``, which is ``phi``."""
+
     premise: int
 
 
-@dataclass(frozen=True)
-class Sub:
+@_record
+class Sub(_Record):
+    """Uniform substitution of ``replacement`` for ``letter`` in line ``premise``."""
+
     premise: int
     letter: str
     replacement: Formula
 
 
-@dataclass(frozen=True)
-class Hyp:
+@_record
+class Hyp(_Record):
+    """The hypothesis numbered ``index``."""
+
     index: int
 
 
 Justification = Union[Taut, AxiomInst, MP, NecU, Sub, Hyp]
 
 
-@dataclass(frozen=True)
-class ProofLine:
+@_record
+class ProofLine(_Record):
+    """A numbered proof line: a formula and its justification."""
+
     index: int
     formula: Formula
     justification: Justification
 
 
-@dataclass(frozen=True)
-class Proof:
+@_record
+class Proof(_Record):
+    """A derivation, as its lines in order."""
+
     lines: tuple[ProofLine, ...]
 
 
-@dataclass(frozen=True)
-class ProofVerdict:
+@_record
+class ProofVerdict(_Record):
     """``accepted`` or rejected at ``line`` with ``reason``."""
 
     accepted: bool
@@ -187,16 +203,18 @@ class ProofVerdict:
         return self.accepted
 
 
-@dataclass(frozen=True)
-class ProofDocument:
+@_record
+class ProofDocument(_Record):
     """A parsed proof file: hypotheses (possibly none) plus the derivation."""
 
     hypotheses: tuple[Formula, ...]
     proof: Proof
 
 
-@dataclass(frozen=True)
-class TheoremEntry:
+@_record
+class TheoremEntry(_Record):
+    """A named theorem with its derivation."""
+
     name: str
     formula: Formula
     proof: Proof

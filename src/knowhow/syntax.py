@@ -46,11 +46,13 @@ evaluation, tautology checks, atom_names and substitution, or in
 from __future__ import annotations
 
 import copyreg
+import inspect
 import re
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass
 from operator import attrgetter
+from reprlib import recursive_repr
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -104,7 +106,10 @@ class Formula:
     ``height`` (a leaf has height 1) and its normal form (``_normal``, or
     None for a node that is its own, so that no node holds itself), the
     last two from its children's.  All of this is set before the node is
-    published, and a published node is never written again.
+    published, and a published node is never written again: setting or
+    deleting an attribute raises ``FrozenInstanceError``, as on a frozen
+    dataclass.  Each node type is a dataclass that only lists its fields,
+    so that ``dataclasses.fields`` gives its operands in order.
     """
 
     def __new__(cls, *args: object) -> Formula:
@@ -136,6 +141,94 @@ class Formula:
 
     def __str__(self) -> str:
         return print_formula(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Record:
+    """Base of the package's records, each a dataclass declared with
+    :func:`_record`, whose methods are written here once.
+
+    A record behaves as ``@dataclass(frozen=True)`` would make it.  The
+    constructor binds its arguments to the fields in field order, a
+    missing one taking its default.  ``==`` and ``hash`` compare the field
+    values of records of one class, ``repr`` lists them, and setting or
+    deleting an attribute raises ``FrozenInstanceError``.  A record that
+    does more on construction says so in its own ``__init__``.
+    """
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self.__dataclass_fields__
+        if kwargs or len(args) != len(fields):
+            args = _bound(type(self), args, kwargs)
+        self.__dict__.update(zip(fields, args))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return _values(self) == _values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(_values(self))
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__dataclass_fields__)
+        return f"{type(self).__qualname__}({fields})"
+
+    __setattr__ = Formula.__setattr__
+    __delattr__ = Formula.__delattr__
+
+
+def _values(record: _Record) -> tuple:
+    return tuple([getattr(record, name) for name in record.__dataclass_fields__])
+
+
+def _bound(cls: type, args: tuple, kwargs: dict) -> list:
+    """The field values of a call of ``cls`` that gives keywords, or fewer
+    or more values than fields, in field order, taking ``kwargs`` apart.
+    Raises TypeError where a generated ``__init__`` would."""
+    fields = cls.__dataclass_fields__
+    if len(args) > len(fields):
+        raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments but {len(args)} were given")
+    values = list(args)
+    for name in list(fields)[len(args) :]:
+        value = kwargs.pop(name, fields[name].default)
+        if value is MISSING:
+            raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+        values.append(value)
+    for name in kwargs:
+        problem = "multiple values for" if name in fields else "an unexpected keyword"
+        raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+    return values
+
+
+def _record(cls: type) -> type:
+    """Declare ``cls``, a :class:`_Record`, a dataclass of its annotated
+    fields, with the constructor signature they describe.
+
+    The dataclass only lists the fields: on Python 3.11 each method that
+    ``dataclass`` writes is compiled at every import, which took most of
+    the package's import time."""
+    dataclass(eq=False, init=False, repr=False)(cls)
+    empty = inspect.Parameter.empty
+    cls.__signature__ = inspect.Signature(
+        [
+            inspect.Parameter(
+                field.name,
+                inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                default=empty if field.default is MISSING else field.default,
+                annotation=field.type,
+            )
+            for field in cls.__dataclass_fields__.values()
+        ],
+        return_annotation=None,
+    )
+    return cls
 
 
 def _rebuilt(ops: list) -> Formula:
@@ -209,63 +302,81 @@ def _intern(cls: type, args: tuple) -> Formula:
     return found
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
+@dataclass(eq=False, init=False, repr=False)
 class Top(Formula):
-    pass
+    """The formula ``top``, true everywhere."""
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
+@dataclass(eq=False, init=False, repr=False)
 class Bot(Formula):
-    pass
+    """The formula ``bot``, true nowhere."""
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
+@dataclass(eq=False, init=False, repr=False)
 class Atom(Formula):
+    """A proposition letter."""
+
     name: str
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
+@dataclass(eq=False, init=False, repr=False)
 class Not(Formula):
+    """Negation, ``~child``."""
+
     child: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
+@dataclass(eq=False, init=False, repr=False)
 class And(Formula):
+    """Conjunction, ``left & right``."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
+@dataclass(eq=False, init=False, repr=False)
 class Or(Formula):
+    """Disjunction, ``left | right``; derived."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
+@dataclass(eq=False, init=False, repr=False)
 class Implies(Formula):
+    """Implication, ``left -> right``; derived."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
+@dataclass(eq=False, init=False, repr=False)
 class Iff(Formula):
+    """Equivalence, ``left <-> right``; derived."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
+@dataclass(eq=False, init=False, repr=False)
 class U(Formula):
+    """The universal modality, ``U child``; derived."""
+
     child: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
+@dataclass(eq=False, init=False, repr=False)
 class Kh(Formula):
+    """Knowing how, ``Kh(cond, goal)``."""
+
     cond: Formula
     goal: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
+@dataclass(eq=False, init=False, repr=False)
 class KhPlus(Formula):
+    """Non-trivial knowing how, ``Khp(cond, goal)``; derived."""
+
     cond: Formula
     goal: Formula
 
