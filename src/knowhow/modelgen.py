@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 from .models import Model, _moves_of
 from .proofs import AXIOM_SCHEMAS, theorem_db
 from .semantics import Program, _compile, _Decisions, _run, _slices
-from .syntax import _ATOM_NAME, Formula, Top, _Record, _record, atom_names, parse_formula
+from .syntax import _ATOM_NAME, Formula, Top, _Record, atom_names, parse_formula
 
 __all__ = [
     "GenConfig",
@@ -50,7 +50,6 @@ RANDOM_MAX_STATES = 1024  # a 26-action model this size takes about 4 s to draw 
 _ACTIONS = "abcdefghijklmnopqrstuvwxyz"
 
 
-@_record
 class GenConfig(_Record):
     """Configuration for model generation."""
 
@@ -185,7 +184,6 @@ def find_countermodel(
     return None
 
 
-@_record
 class AuditViolation(_Record):
     """An audit row that fails on the numbered model under ``assignment``."""
 
@@ -195,7 +193,6 @@ class AuditViolation(_Record):
     model: Model
 
 
-@_record
 class AuditReport(_Record):
     """What :func:`soundness_audit` checked, and the violations it found."""
 

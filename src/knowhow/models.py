@@ -46,11 +46,13 @@ __all__ = ["Model", "ModelFormatError", "parse_model", "format_model", "Plan"]
 # A plan is a finite, possibly empty sequence of action names.
 Plan = tuple[str, ...]
 
-_ID = re.compile(r"[A-Za-z0-9_]+\Z")
+# State and action ids are ASCII letters, digits and underscores.
+_IDENTIFIER = "[A-Za-z0-9_]+"
+_ID = re.compile(rf"{_IDENTIFIER}\Z")
 _STATE_LINE = re.compile(r"state\s+(\S+)\s+\[\s*([^\[\]]*?)\s*\]\s*\Z")
 # A whole well-formed trans line, comment included.  Regex ``\s`` is
 # ``str.isspace``, the whitespace that ``str.split`` and ``str.strip`` use.
-_TRANS_LINE = re.compile(r"\s*trans\s+([A-Za-z0-9_]+)\s+([A-Za-z0-9_]+)\s+([A-Za-z0-9_]+)\s*(?:#.*)?\Z", re.S)
+_TRANS_LINE = re.compile(rf"\s*trans\s+({_IDENTIFIER})\s+({_IDENTIFIER})\s+({_IDENTIFIER})\s*(?:#.*)?\Z", re.S)
 
 
 class ModelFormatError(ValueError):

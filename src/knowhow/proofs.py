@@ -61,7 +61,6 @@ from .syntax import (
     U,
     _ATOM_NAME,
     _Record,
-    _record,
     _subterms,
     atom_names,
     normalize,
@@ -121,12 +120,10 @@ class ProofFormatError(ValueError):
 # --- Justifications -------------------------------------------------------
 
 
-@_record
 class Taut(_Record):
     """A propositional tautology over the modal units."""
 
 
-@_record
 class AxiomInst(_Record):
     """An instance of the schema ``name``; ``binding`` is copied to a dict."""
 
@@ -141,7 +138,6 @@ class AxiomInst(_Record):
         return hash((self.name, frozenset(self.binding.items())))
 
 
-@_record
 class MP(_Record):
     """Modus ponens from the lines ``premise`` and ``implication``."""
 
@@ -149,14 +145,12 @@ class MP(_Record):
     implication: int
 
 
-@_record
 class NecU(_Record):
     """Universal necessitation: ``U phi`` from the line ``premise``, which is ``phi``."""
 
     premise: int
 
 
-@_record
 class Sub(_Record):
     """Uniform substitution of ``replacement`` for ``letter`` in line ``premise``."""
 
@@ -165,7 +159,6 @@ class Sub(_Record):
     replacement: Formula
 
 
-@_record
 class Hyp(_Record):
     """The hypothesis numbered ``index``."""
 
@@ -175,7 +168,6 @@ class Hyp(_Record):
 Justification = Union[Taut, AxiomInst, MP, NecU, Sub, Hyp]
 
 
-@_record
 class ProofLine(_Record):
     """A numbered proof line: a formula and its justification."""
 
@@ -184,14 +176,12 @@ class ProofLine(_Record):
     justification: Justification
 
 
-@_record
 class Proof(_Record):
     """A derivation, as its lines in order."""
 
     lines: tuple[ProofLine, ...]
 
 
-@_record
 class ProofVerdict(_Record):
     """``accepted`` or rejected at ``line`` with ``reason``."""
 
@@ -203,7 +193,6 @@ class ProofVerdict(_Record):
         return self.accepted
 
 
-@_record
 class ProofDocument(_Record):
     """A parsed proof file: hypotheses (possibly none) plus the derivation."""
 
@@ -211,7 +200,6 @@ class ProofDocument(_Record):
     proof: Proof
 
 
-@_record
 class TheoremEntry(_Record):
     """A named theorem with its derivation."""
 
@@ -592,6 +580,15 @@ def _parse_int(token: str, line_no: int) -> int:
         raise ProofFormatError(f"line number of {len(token)} digits is too long", line_no) from None
 
 
+# The justifications that cite only numbers: each keyword's record, whose
+# fields are the numbers in order, and its usage text.
+_CITING = {
+    "mp": (MP, "want: mp <premise-line> <implication-line>"),
+    "necu": (NecU, "want: necu <line>"),
+    "hyp": (Hyp, "want: hyp <hypothesis-number>"),
+}
+
+
 def _parse_justification(text: str, line_no: int) -> Justification:
     parts = text.split(None, 1)
     if not parts:
@@ -607,16 +604,12 @@ def _parse_justification(text: str, line_no: int) -> Justification:
             raise ProofFormatError("want: axiom <NAME> p=<formula> ...", line_no)
         name, binding_text = name_and_binding
         return AxiomInst(name, _parse_binding(binding_text, line_no))
-    if keyword == "mp":
+    if keyword in _CITING:
+        record, usage = _CITING[keyword]
         refs = rest.split()
-        if len(refs) != 2:
-            raise ProofFormatError("want: mp <premise-line> <implication-line>", line_no)
-        return MP(_parse_int(refs[0], line_no), _parse_int(refs[1], line_no))
-    if keyword == "necu":
-        refs = rest.split()
-        if len(refs) != 1:
-            raise ProofFormatError("want: necu <line>", line_no)
-        return NecU(_parse_int(refs[0], line_no))
+        if len(refs) != len(record.__dataclass_fields__):
+            raise ProofFormatError(usage, line_no)
+        return record(*[_parse_int(ref, line_no) for ref in refs])
     if keyword == "sub":
         pieces = rest.split(None, 2)
         if len(pieces) != 3:
@@ -627,11 +620,6 @@ def _parse_justification(text: str, line_no: int) -> Justification:
         return Sub(
             premise, pieces[1], _parse_formula_at(pieces[2], line_no, "substitution replacement")
         )
-    if keyword == "hyp":
-        refs = rest.split()
-        if len(refs) != 1:
-            raise ProofFormatError("want: hyp <hypothesis-number>", line_no)
-        return Hyp(_parse_int(refs[0], line_no))
     raise ProofFormatError(f"unknown justification keyword {keyword!r}", line_no)
 
 

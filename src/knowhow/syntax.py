@@ -108,9 +108,15 @@ class Formula:
     last two from its children's.  All of this is set before the node is
     published, and a published node is never written again: setting or
     deleting an attribute raises ``FrozenInstanceError``, as on a frozen
-    dataclass.  Each node type is a dataclass that only lists its fields,
-    so that ``dataclasses.fields`` gives its operands in order.
+    dataclass.  A node type is declared by subclassing this class, which
+    lists its fields as a dataclass once, so that ``dataclasses.fields``
+    gives its operands in order; its methods are this class's.
     """
+
+    def __init_subclass__(cls) -> None:
+        # Fields only: on Python 3.11 each method that ``dataclass`` writes
+        # is compiled at every import, which took most of the import time.
+        dataclass(eq=False, init=False, repr=False)(cls)
 
     def __new__(cls, *args: object) -> Formula:
         try:
@@ -150,16 +156,34 @@ class Formula:
 
 
 class _Record:
-    """Base of the package's records, each a dataclass declared with
-    :func:`_record`, whose methods are written here once.
+    """Base of the package's records, whose methods are written here once.
 
-    A record behaves as ``@dataclass(frozen=True)`` would make it.  The
-    constructor binds its arguments to the fields in field order, a
-    missing one taking its default.  ``==`` and ``hash`` compare the field
-    values of records of one class, ``repr`` lists them, and setting or
-    deleting an attribute raises ``FrozenInstanceError``.  A record that
-    does more on construction says so in its own ``__init__``.
+    A record is declared by subclassing this class, which lists its fields
+    as a dataclass once, as :class:`Formula` does for a node, and gives it
+    the constructor signature they describe.  It behaves as
+    ``@dataclass(frozen=True)`` would make it.  The constructor binds its
+    arguments to the fields in field order, a missing one taking its
+    default.  ``==`` and ``hash`` compare the field values of records of
+    one class, ``repr`` lists them, and setting or deleting an attribute
+    raises ``FrozenInstanceError``.  A record that does more on
+    construction says so in its own ``__init__``.
     """
+
+    def __init_subclass__(cls) -> None:
+        dataclass(eq=False, init=False, repr=False)(cls)
+        empty = inspect.Parameter.empty
+        cls.__signature__ = inspect.Signature(
+            [
+                inspect.Parameter(
+                    field.name,
+                    inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                    default=empty if field.default is MISSING else field.default,
+                    annotation=field.type,
+                )
+                for field in cls.__dataclass_fields__.values()
+            ],
+            return_annotation=None,
+        )
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self.__dataclass_fields__
@@ -205,30 +229,6 @@ def _bound(cls: type, args: tuple, kwargs: dict) -> list:
         problem = "multiple values for" if name in fields else "an unexpected keyword"
         raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
     return values
-
-
-def _record(cls: type) -> type:
-    """Declare ``cls``, a :class:`_Record`, a dataclass of its annotated
-    fields, with the constructor signature they describe.
-
-    The dataclass only lists the fields: on Python 3.11 each method that
-    ``dataclass`` writes is compiled at every import, which took most of
-    the package's import time."""
-    dataclass(eq=False, init=False, repr=False)(cls)
-    empty = inspect.Parameter.empty
-    cls.__signature__ = inspect.Signature(
-        [
-            inspect.Parameter(
-                field.name,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                default=empty if field.default is MISSING else field.default,
-                annotation=field.type,
-            )
-            for field in cls.__dataclass_fields__.values()
-        ],
-        return_annotation=None,
-    )
-    return cls
 
 
 def _rebuilt(ops: list) -> Formula:
@@ -302,31 +302,26 @@ def _intern(cls: type, args: tuple) -> Formula:
     return found
 
 
-@dataclass(eq=False, init=False, repr=False)
 class Top(Formula):
     """The formula ``top``, true everywhere."""
 
 
-@dataclass(eq=False, init=False, repr=False)
 class Bot(Formula):
     """The formula ``bot``, true nowhere."""
 
 
-@dataclass(eq=False, init=False, repr=False)
 class Atom(Formula):
     """A proposition letter."""
 
     name: str
 
 
-@dataclass(eq=False, init=False, repr=False)
 class Not(Formula):
     """Negation, ``~child``."""
 
     child: Formula
 
 
-@dataclass(eq=False, init=False, repr=False)
 class And(Formula):
     """Conjunction, ``left & right``."""
 
@@ -334,7 +329,6 @@ class And(Formula):
     right: Formula
 
 
-@dataclass(eq=False, init=False, repr=False)
 class Or(Formula):
     """Disjunction, ``left | right``; derived."""
 
@@ -342,7 +336,6 @@ class Or(Formula):
     right: Formula
 
 
-@dataclass(eq=False, init=False, repr=False)
 class Implies(Formula):
     """Implication, ``left -> right``; derived."""
 
@@ -350,7 +343,6 @@ class Implies(Formula):
     right: Formula
 
 
-@dataclass(eq=False, init=False, repr=False)
 class Iff(Formula):
     """Equivalence, ``left <-> right``; derived."""
 
@@ -358,14 +350,12 @@ class Iff(Formula):
     right: Formula
 
 
-@dataclass(eq=False, init=False, repr=False)
 class U(Formula):
     """The universal modality, ``U child``; derived."""
 
     child: Formula
 
 
-@dataclass(eq=False, init=False, repr=False)
 class Kh(Formula):
     """Knowing how, ``Kh(cond, goal)``."""
 
@@ -373,7 +363,6 @@ class Kh(Formula):
     goal: Formula
 
 
-@dataclass(eq=False, init=False, repr=False)
 class KhPlus(Formula):
     """Non-trivial knowing how, ``Khp(cond, goal)``; derived."""
 

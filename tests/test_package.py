@@ -214,6 +214,63 @@ def test_no_dataclass_carries_a_generated_method():
         assert name in vars(cls)
 
 
+def test_no_class_carries_a_decorator():
+    # A record or a formula node is declared by subclassing its base, which
+    # makes it a dataclass; only syntax knows how.
+    source = Path(knowhow.__file__).parent
+    for path in source.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                assert not cls.decorator_list, f"{path.name}:{cls.lineno}"
+    assert not hasattr(syntax, "_record")
+
+
+def test_subclassing_record_declares_a_frozen_dataclass():
+    # No Formula subclass is declared here: the package has exactly 11.
+    class Pair(syntax._Record):
+        """Two numbers, the second 0 unless given."""
+
+        first: int
+        second: int = 0
+
+    twin = _twin(Pair)
+    assert [(f.name, f.default) for f in dataclasses.fields(Pair)] == [("first", dataclasses.MISSING), ("second", 0)]
+    assert [(f.name, f.type, f.default) for f in dataclasses.fields(twin)] == [
+        (f.name, f.type, f.default) for f in dataclasses.fields(Pair)
+    ]
+    assert Pair.__match_args__ == twin.__match_args__ == ("first", "second")
+    assert inspect.signature(Pair) == inspect.signature(twin)
+    assert not set(GENERATED) & set(vars(Pair))
+
+    calls = [
+        ((1,), {}, (1, 0)),
+        ((1, 2), {}, (1, 2)),
+        ((), {"first": 1}, (1, 0)),
+        ((), {"second": 2, "first": 1}, (1, 2)),
+        ((1,), {"second": 2}, (1, 2)),
+    ]
+    for args, kwargs, values in calls:
+        pair, expected = Pair(*args, **kwargs), twin(*args, **kwargs)
+        assert dataclasses.astuple(pair) == dataclasses.astuple(expected) == values
+        assert repr(pair) == repr(expected).replace("Pair(", f"{Pair.__qualname__}(")
+        assert pair == Pair(*args, **kwargs) and hash(pair) == hash(expected)
+        changed = dataclasses.replace(pair, second=5)
+        assert dataclasses.astuple(changed) == dataclasses.astuple(dataclasses.replace(expected, second=5)) == (1, 5)
+        for name in ("first", "second", "other"):
+            for record in (pair, expected):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, 3)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(record, name)
+
+    for args, kwargs in [((), {}), ((1, 2, 3), {}), ((1,), {"first": 1}), ((1,), {"third": 3}), ((), {"second": 2})]:
+        with pytest.raises(TypeError):
+            twin(*args, **kwargs)
+        with pytest.raises(TypeError):
+            Pair(*args, **kwargs)
+
+
 def test_records_and_nodes_describe_themselves():
     # Without a docstring, dataclass builds one from the signature.
     for cls in (*RECORDS, *NODE_FIELDS):
